@@ -181,15 +181,18 @@ def measure_fp(
         d = build_dag(policy)
         decide = lambda q: dag_check(d, q).allowed  # noqa: E731
     elif model == "hyper":
-        maps: dict[tuple[int, str], dict[int, int]] = {}
-        memo: dict = {}
+        maps: dict[tuple[int, EvaluationContext], dict[int, int]] = {}
+        # descents depend on the context (SameAccount on assignments), so
+        # each context gets its own memo
+        memos: dict[EvaluationContext, dict] = {}
 
         def decide(q: PrivilegeQuery) -> bool:
-            key = (q.user, q.ctx.acting_account)
+            key = (q.user, q.ctx)
             granted = maps.get(key)
             if granted is None:
                 granted = effective_permission_map(
-                    policy, q.user, q.ctx, DEFAULT_MAX_DEPTH, _descend_memo=memo
+                    policy, q.user, q.ctx, DEFAULT_MAX_DEPTH,
+                    _descend_memo=memos.setdefault(q.ctx, {}),
                 )
                 maps[key] = granted
             return bool(granted.get(q.resource, 0) & policy.universe.bit(q.op))

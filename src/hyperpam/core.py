@@ -15,11 +15,10 @@ come in two kinds:
   {user, role, resource, type, policy class}.
 
 Constraints (same-account, time-window, approval-required) attach to
-hyperedges; queries carry the runtime facts that decide them. An exact
-vertex->hyperedge incidence index plus directed assignment adjacency make
-traversal cost independent of how many entities hang off an attribute, and
-removing one hyperedge revokes every path through it at a cost proportional
-only to the edge's own member count.
+hyperedges; queries carry the runtime facts that decide them. The graph
+keeps an exact vertex->hyperedge incidence index plus directed assignment
+adjacency, and removing one hyperedge revokes every path through it at a
+cost proportional only to the edge's own member count.
 """
 
 from __future__ import annotations

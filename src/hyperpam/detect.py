@@ -4,8 +4,12 @@ Escalation: a user that reaches a sensitive-tagged resource over a path
 crossing two or more distinct user attributes is chaining roles; one
 finding is reported per (user, target) with the shortest such path.
 
-Over-privilege: effective permissions are compared against required
-permission facts supplied by ground truth; any strict excess is a finding.
+Over-privilege: each grant a subject holds is compared against the masks
+ground truth requires, and any strict excess is a finding. Required masks
+may sit on resource attributes. A grant whose mask is already required on
+its target attribute (or on an attribute above it) leaves no excess on any
+resource below, so it is skipped without expansion. Only the remaining
+grants are expanded to resources, and the excess is reported per resource.
 
 Attack window: time-window constraints give every just-in-time grant a
 hard expiry; expired edges can be reported or revoked in one removal each,
@@ -15,6 +19,7 @@ independent of how many principals they served.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Optional
@@ -31,8 +36,12 @@ from .engine import (
     DEFAULT_MAX_DEPTH,
     AccessPath,
     EvaluationContext,
+    _Counter,
+    _resource_closure,
+    _resources_below,
     edge_satisfied,
-    effective_permission_map,
+    effective_permission_map,  # noqa: F401 - perfbench/tracing.py wraps it under this module
+    live_grants,
 )
 from .errors import GroundTruthMismatch
 from .perm import PermissionSet
@@ -59,18 +68,22 @@ class EscalationFinding:
 
 @dataclass(frozen=True)
 class OverPrivilegeFinding:
+    """Per resource, the operations ``subject`` holds beyond what it requires."""
+
     subject: VertexId
-    granted: dict[VertexId, PermissionSet]
-    required: dict[VertexId, PermissionSet]
     excess: dict[VertexId, PermissionSet]
 
 
 @dataclass(frozen=True)
 class RequiredPermissions:
-    """Required permission masks per subject and resource.
+    """Required permission masks per subject, keyed by resource or resource attribute.
 
     Subjects may be users or user attributes; masks use the owning policy's
-    permission universe.
+    permission universe. An entry on a resource attribute requires its mask
+    on every resource below that attribute, where "below" follows active,
+    context-satisfied assignment edges downward with no depth limit. So the
+    requirement on resource r is the OR of the entry on r and the entries on
+    every attribute r ascends to.
     """
 
     by_subject: dict[VertexId, dict[VertexId, int]]
@@ -216,8 +229,16 @@ def detect_over_privileged(
     ctx: EvaluationContext,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> list[OverPrivilegeFinding]:
-    """Subjects whose effective permissions strictly exceed the required facts."""
-    memo: dict = {}
+    """Subjects whose effective permissions strictly exceed the required facts.
+
+    Every resource below attribute a requires at least the entries on a and
+    on a's ancestors, and a depth budget only removes resources, so a grant
+    on a whose mask those entries cover is skipped. Other grants are
+    expanded to the resources below them.
+    """
+    # v -> v plus every resource attribute it ascends to, with no depth limit
+    lineages: dict[VertexId, tuple[VertexId, ...]] = {}
+    below_memo: dict = {}
     findings: list[OverPrivilegeFinding] = []
     for subject in sorted(ground_truth.by_subject):
         if not policy.has_vertex(subject):
@@ -226,27 +247,52 @@ def detect_over_privileged(
         for rid in required:
             if not policy.has_vertex(rid):
                 raise GroundTruthMismatch(f"ground truth names unknown vertex {rid}")
+            kind = policy.vertex(rid).kind
+            if kind not in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
+                raise GroundTruthMismatch(
+                    f"required key {rid} is a {kind.value}, "
+                    "wants resource or resource attribute"
+                )
         kind = policy.vertex(subject).kind
         if kind not in (VertexKind.USER, VertexKind.USER_ATTR):
             raise GroundTruthMismatch(
                 f"subject {subject} is a {kind.value}, wants user or user attribute"
             )
-        granted = effective_permission_map(
-            policy, subject, ctx, max_depth, _descend_memo=memo
-        )
-        excess = {}
-        for rid, mask in sorted(granted.items()):
-            extra = mask & ~required.get(rid, 0)
-            if extra:
-                excess[rid] = extra
+        # v -> OR of the subject's entries on v and on everything v ascends to
+        required_up: dict[VertexId, int] = {}
+
+        def need(v: VertexId) -> int:
+            mask = required_up.get(v)
+            if mask is None:
+                line = lineages.get(v)
+                if line is None:
+                    line = lineages[v] = tuple(
+                        _resource_closure(policy, v, ctx, math.inf, _Counter())
+                    )
+                mask = 0
+                for a in line:
+                    mask |= required.get(a, 0)
+                required_up[v] = mask
+            return mask
+
+        excess: dict[VertexId, int] = {}
+        for target, budget, mask in live_grants(policy, subject, ctx, max_depth):
+            if not mask & ~need(target):
+                continue
+            if policy.vertex(target).kind is VertexKind.RESOURCE:
+                below = {target: 0}
+            else:
+                below = _resources_below(policy, target, ctx, below_memo)
+            for rid, rd in below.items():
+                if rd <= budget:
+                    extra = mask & ~need(rid)
+                    if extra:
+                        excess[rid] = excess.get(rid, 0) | extra
         if excess:
             uni = policy.universe
             findings.append(
                 OverPrivilegeFinding(
-                    subject,
-                    {r: PermissionSet(uni, m) for r, m in sorted(granted.items())},
-                    {r: PermissionSet(uni, m) for r, m in sorted(required.items())},
-                    {r: PermissionSet(uni, m) for r, m in excess.items()},
+                    subject, {r: PermissionSet(uni, excess[r]) for r in sorted(excess)}
                 )
             )
     return findings

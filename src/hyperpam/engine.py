@@ -19,8 +19,7 @@ vertex-hyperedge path. A path is valid when:
 
 Search is bidirectional: the resource's attribute closure is computed
 first, then a breadth-first sweep of the user's attribute closure probes
-each reachable association against that closure, which keeps per-query
-work independent of how many entities share an attribute. Witnesses are
+each reachable association against that closure. Witnesses are
 shortest, with ties broken by the lexicographically smallest hyperedge-id
 sequence, so identical inputs always produce identical answers.
 
@@ -35,7 +34,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     ApprovalRequired,
@@ -482,6 +481,36 @@ def _resources_below(
     return found
 
 
+def live_grants(
+    policy: PolicyHypergraph,
+    subject: VertexId,
+    ctx: EvaluationContext,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> Iterator[tuple[VertexId, int, int]]:
+    """Every grant ``subject`` holds under ``ctx``, as (target, budget, mask).
+
+    Walks the subject's attribute closure once and yields, for each active,
+    ctx-satisfied association with a non-empty label, each resource or
+    resource-attribute member with the number of descent hops the depth
+    limit still allows below it. ``subject`` may be a user or a user
+    attribute.
+    """
+    closure = _user_side_closure(policy, subject, ctx, max_depth)
+    for v, d in closure.items():
+        budget = max_depth - d - 1
+        if budget < 0:
+            continue
+        for eid in sorted(policy.associations_at(v)):
+            edge = policy.edge(eid)
+            if not edge.active or not edge.perm_mask:
+                continue
+            if not edge_satisfied(policy, edge, ctx):
+                continue
+            for m in edge.members:
+                if policy.vertex(m).kind in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
+                    yield m, budget, edge.perm_mask
+
+
 def effective_permission_map(
     policy: PolicyHypergraph,
     subject: VertexId,
@@ -492,28 +521,17 @@ def effective_permission_map(
     """Permission mask per reachable resource, in one sweep from ``subject``.
 
     Equivalent to calling effective_permissions against every resource, but
-    amortizes the attribute-closure and descent work; used by the detection
-    passes. ``subject`` may be a user or a user attribute.
+    amortizes the attribute-closure and descent work. ``subject`` may be a
+    user or a user attribute. A ``_descend_memo`` shared between calls must
+    only be shared between calls with equal contexts.
     """
     memo = _descend_memo if _descend_memo is not None else {}
-    closure = _user_side_closure(policy, subject, ctx, max_depth)
     granted: dict[VertexId, int] = {}
-    for v, d in closure.items():
-        for eid in sorted(policy.associations_at(v)):
-            edge = policy.edge(eid)
-            if not edge.active or not edge.perm_mask:
-                continue
-            if not edge_satisfied(policy, edge, ctx):
-                continue
-            budget = max_depth - d - 1
-            if budget < 0:
-                continue
-            for m in edge.members:
-                kind = policy.vertex(m).kind
-                if kind is VertexKind.RESOURCE:
-                    granted[m] = granted.get(m, 0) | edge.perm_mask
-                elif kind is VertexKind.RESOURCE_ATTR:
-                    for rid, rd in _resources_below(policy, m, ctx, memo).items():
-                        if rd <= budget:
-                            granted[rid] = granted.get(rid, 0) | edge.perm_mask
+    for m, budget, mask in live_grants(policy, subject, ctx, max_depth):
+        if policy.vertex(m).kind is VertexKind.RESOURCE:
+            granted[m] = granted.get(m, 0) | mask
+        else:
+            for rid, rd in _resources_below(policy, m, ctx, memo).items():
+                if rd <= budget:
+                    granted[rid] = granted.get(rid, 0) | mask
     return granted

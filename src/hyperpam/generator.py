@@ -214,23 +214,27 @@ class GroundTruth:
         return False
 
     def required_permissions(self, ctx: EvaluationContext) -> RequiredPermissions:
-        """Required masks per role and per user at resource granularity."""
+        """Required masks per role and per user, keyed by resource type.
+
+        A role requires, on each type it is granted, the OR of the masks of
+        its grants that ``ctx`` satisfies; a user requires the OR of its
+        roles' entries. Each type entry covers every resource below the type,
+        so the result holds O(grants + user-role pairs) entries.
+        """
         by_subject: dict[VertexId, dict[VertexId, int]] = {}
         role_masks: dict[VertexId, dict[VertexId, int]] = {}
         for role, grants in self._grants_by_role.items():
             acc: dict[VertexId, int] = {}
             for g in grants:
-                if not g.satisfied(ctx):
-                    continue
-                for rid in self.resources_by_type.get(g.type_id, ()):
-                    acc[rid] = acc.get(rid, 0) | g.mask
+                if g.satisfied(ctx):
+                    acc[g.type_id] = acc.get(g.type_id, 0) | g.mask
             role_masks[role] = acc
             by_subject[role] = acc
         for user, roles in self.user_roles.items():
             acc = {}
             for role in roles:
-                for rid, mask in role_masks.get(role, {}).items():
-                    acc[rid] = acc.get(rid, 0) | mask
+                for tid, mask in role_masks.get(role, {}).items():
+                    acc[tid] = acc.get(tid, 0) | mask
             by_subject[user] = acc
         return RequiredPermissions(by_subject)
 

@@ -81,6 +81,17 @@ class IamDocument:
     resources: tuple[IamResource, ...]
 
 
+def _objects(obj: dict, key: str) -> list[tuple[dict, str]]:
+    """The entries of list ``obj[key]`` with their paths; each must be an object."""
+    out = []
+    for i, item in enumerate(obj[key]):
+        where = f"$.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise SchemaError(f"{where}: must be an object")
+        out.append((item, where))
+    return out
+
+
 def _str_field(obj: dict, key: str, where: str, default: Optional[str] = None) -> str:
     if key not in obj:
         if default is not None:
@@ -133,33 +144,32 @@ def parse_iam(data: bytes | str) -> IamDocument:
 
     users = tuple(
         IamUser(
-            _str_field(u, "name", f"$.users[{i}]"),
-            _str_field(u, "account", f"$.users[{i}]", ""),
-            _tags_field(u, f"$.users[{i}]"),
+            _str_field(u, "name", where),
+            _str_field(u, "account", where, ""),
+            _tags_field(u, where),
         )
-        for i, u in enumerate(obj["users"])
+        for u, where in _objects(obj, "users")
     )
     roles = tuple(
         IamRole(
-            _str_field(r, "name", f"$.roles[{i}]"),
-            _str_field(r, "account", f"$.roles[{i}]", ""),
-            _str_list(r, "assumable_by", f"$.roles[{i}]", ()),
-            _tags_field(r, f"$.roles[{i}]"),
+            _str_field(r, "name", where),
+            _str_field(r, "account", where, ""),
+            _str_list(r, "assumable_by", where, ()),
+            _tags_field(r, where),
         )
-        for i, r in enumerate(obj["roles"])
+        for r, where in _objects(obj, "roles")
     )
     resources = tuple(
         IamResource(
-            _str_field(r, "name", f"$.resources[{i}]"),
-            _str_field(r, "account", f"$.resources[{i}]", ""),
-            _str_field(r, "type", f"$.resources[{i}]"),
-            _tags_field(r, f"$.resources[{i}]"),
+            _str_field(r, "name", where),
+            _str_field(r, "account", where, ""),
+            _str_field(r, "type", where),
+            _tags_field(r, where),
         )
-        for i, r in enumerate(obj["resources"])
+        for r, where in _objects(obj, "resources")
     )
     policies = []
-    for i, p in enumerate(obj["policies"]):
-        where = f"$.policies[{i}]"
+    for p, where in _objects(obj, "policies"):
         constraints = p.get("constraints", [])
         if not isinstance(constraints, list):
             raise SchemaError(f"{where}.constraints: must be a list")

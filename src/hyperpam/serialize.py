@@ -18,6 +18,8 @@ and raises SchemaError on any structural violation.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from datetime import datetime
 from typing import Any
 
@@ -39,6 +41,8 @@ def _rfc3339(ts: datetime) -> str:
 
 
 def parse_rfc3339(text: str) -> datetime:
+    if not isinstance(text, str):
+        raise SchemaError(f"timestamp must be an RFC3339 string, got {type(text).__name__}")
     try:
         return datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError as exc:
@@ -56,6 +60,8 @@ def constraint_to_obj(c: Constraint) -> dict[str, Any]:
 
 
 def constraint_from_obj(obj: dict[str, Any], where: str) -> Constraint:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: constraint must be an object")
     kind = obj.get("kind")
     if kind == "same_account":
         return SameAccount()
@@ -64,7 +70,7 @@ def constraint_from_obj(obj: dict[str, Any], where: str) -> Constraint:
             return TimeWindow(parse_rfc3339(obj["start"]), parse_rfc3339(obj["end"]))
         except KeyError as exc:
             raise SchemaError(f"{where}: time_window missing {exc}") from None
-        except ValueError as exc:
+        except (ValueError, SchemaError) as exc:
             raise SchemaError(f"{where}: {exc}") from None
     if kind == "approval_required":
         tag = obj.get("tag")
@@ -184,8 +190,25 @@ def loads_policy(text: str | bytes) -> PolicyHypergraph:
 
 
 def save_policy(policy: PolicyHypergraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_policy(policy))
+    """Write the policy to ``path`` atomically.
+
+    The document goes to a new file in the same directory, which then
+    replaces ``path`` in one rename, so a failed write leaves any previous
+    file at ``path`` intact.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    # O_EXCL never reuses a stray file; mode 0o666 lets the umask decide
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(dumps_policy(policy))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_policy(path: str) -> PolicyHypergraph:

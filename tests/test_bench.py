@@ -17,9 +17,10 @@ from hyperpam.bench import (
     run_sweep,
     workload_to_json,
 )
-from hyperpam.engine import EvaluationContext
+from hyperpam.core import HyperedgeKind, PolicyHypergraph, SameAccount, VertexKind
+from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
 from hyperpam.errors import ConfigInvalid, DegenerateInput
-from hyperpam.generator import EVAL_TS, GenConfig, config_for_scale, generate
+from hyperpam.generator import EVAL_TS, GenConfig, Grant, GroundTruth, config_for_scale, generate
 
 CTX = EvaluationContext(EVAL_TS, "")
 
@@ -78,6 +79,36 @@ def test_measure_fp_hypergraph_exact_and_ladder():
     assert fp_h == 0.0
     assert fp_a >= fp_d >= fp_h
     assert fp_a > 0.0  # expired + scoped canaries guarantee a gap
+
+
+def test_measure_fp_hyper_descends_per_context():
+    # r -> t carries SameAccount, so only probes acting from account x see r
+    # below t; a descent cached for a's probe must not answer b's
+    p = PolicyHypergraph()
+    pc = p.add_vertex(VertexKind.POLICY_CLASS, "pc")
+    a = p.add_vertex(VertexKind.USER, "a", "x")
+    b = p.add_vertex(VertexKind.USER, "b", "y")
+    role = p.add_vertex(VertexKind.USER_ATTR, "role", "x")
+    t = p.add_vertex(VertexKind.RESOURCE_ATTR, "t", "x")
+    r = p.add_vertex(VertexKind.RESOURCE, "r", "x")
+    p.add_assignment(a, role)
+    p.add_assignment(b, role)
+    p.add_raw_hyperedge(HyperedgeKind.ASSIGNMENT, [r, t], (), [SameAccount()])
+    grant = p.add_association([role], [t], pc, ["Read"])
+    assert not p.validate()
+    # b holds no role in the ledger, so any Read b is allowed is a false positive
+    gt = GroundTruth(
+        eval_timestamp=EVAL_TS,
+        user_roles={a: (role,), b: ()},
+        user_account={a: "x", b: "y"},
+        grants=[Grant(role, t, p.universe.mask_of(["Read"]), grant)],
+        resource_types={r: (t,)},
+        resources_by_type={t: (r,)},
+    )
+    probes = [PrivilegeQuery(u, "Read", r, gt.context_for(u)) for u in (a, b)]
+    assert check_privilege(p, probes[0]).allowed
+    assert not check_privilege(p, probes[1]).allowed
+    assert measure_fp("hyper", p, gt, CTX, probes=probes) == 0.0
 
 
 def test_measure_fp_zero_over_zero():

@@ -205,6 +205,23 @@ def test_serialization_round_trip_random():
         assert dumps_policy(q) == text
 
 
+def test_save_policy_failure_leaves_the_old_file(tmp_path, monkeypatch):
+    import hyperpam.serialize as serialize_mod
+
+    path = tmp_path / "policy.json"
+    serialize_mod.save_policy(random_policy(Rng(7)), str(path))
+    before = path.read_bytes()
+
+    def boom(policy):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(serialize_mod, "dumps_policy", boom)
+    with pytest.raises(RuntimeError):
+        serialize_mod.save_policy(random_policy(Rng(8)), str(path))
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["policy.json"]
+
+
 def test_serialization_preserves_assignment_direction(tiny):
     p, ids = tiny
     p.add_assignment(ids["alice"], ids["dev"])

@@ -6,6 +6,7 @@ from datetime import timedelta
 
 import pytest
 
+import hyperpam.detect as detect_mod
 from hyperpam.core import PolicyHypergraph, TimeWindow, VertexKind
 from hyperpam.detect import (
     RequiredPermissions,
@@ -100,14 +101,32 @@ def test_escalation_findings_are_deterministic_and_ordered():
     assert keys == sorted(keys)
 
 
-def test_over_privilege_excess_exact():
+def _count_expansions(monkeypatch) -> list:
+    """Record the attribute of every grant detect_over_privileged expands."""
+    expanded = []
+    real = detect_mod._resources_below
+
+    def counting(policy, ra, ctx, memo):
+        expanded.append(ra)
+        return real(policy, ra, ctx, memo)
+
+    monkeypatch.setattr(detect_mod, "_resources_below", counting)
+    return expanded
+
+
+def test_over_privilege_excess_exact(monkeypatch):
     cfg = GenConfig(
         n_users=30, n_roles=6, n_resources=40, injected_chains=0, injected_excess=1, seed=5
     )
     policy, gt = generate(cfg)
     required = gt.required_permissions(CTX)
+    expanded = _count_expansions(monkeypatch)
     findings = detect_over_privileged(policy, required, CTX)
     record = gt.excess[0]
+    # only the injected grant is expanded: once for its role, once per user holding it
+    holders = [u for u, roles in gt.user_roles.items() if record.role in roles]
+    assert holders
+    assert expanded == [record.type_id] * (1 + len(holders))
     by_subject = {f.subject: f for f in findings}
     assert record.role in by_subject
     fnd = by_subject[record.role]
@@ -118,14 +137,16 @@ def test_over_privilege_excess_exact():
         assert pset.mask & ~record.mask == 0
 
 
-def test_over_privilege_no_finding_when_granted_equals_required():
+def test_over_privilege_no_finding_when_granted_equals_required(monkeypatch):
     cfg = GenConfig(
         n_users=20, n_roles=5, n_resources=30, injected_chains=0, injected_excess=0,
         pct_temporal=0.0, pct_scoped=0.0, seed=9,
     )
     policy, gt = generate(cfg)
+    expanded = _count_expansions(monkeypatch)
     findings = detect_over_privileged(policy, gt.required_permissions(CTX), CTX)
     assert findings == []
+    assert expanded == []
 
 
 def test_over_privilege_unknown_subject_rejected():

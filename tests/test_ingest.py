@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hyperpam.cli import main
 from hyperpam.core import HyperedgeKind, VertexKind
 from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
 from hyperpam.errors import ParseError, SchemaError, UnknownAction, UnresolvedReference
@@ -142,3 +143,38 @@ def test_round_trip_is_idempotent_from_the_hypergraph_onward():
     text = dumps_policy(policy)
     again = dumps_policy(loads_policy(text))
     assert again == text
+
+
+def _policy_with_constraints(constraints) -> str:
+    obj = json.loads(dumps_policy(to_hypergraph(parse_iam(json.dumps(MINIMAL)))))
+    next(e for e in obj["hyperedges"] if e["kind"] == "association")["constraints"] = constraints
+    return json.dumps(obj)
+
+
+def _iam_with(key, entries) -> str:
+    return json.dumps({**MINIMAL, key: entries})
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("check", _policy_with_constraints([1])),
+        ("check", _policy_with_constraints([{"kind": "time_window", "start": 5, "end": "x"}])),
+        ("ingest", _iam_with("users", [1])),
+        ("ingest", _iam_with("policies", ["x"])),
+    ],
+    ids=["constraint-not-object", "window-start-not-string", "user-not-object",
+         "policy-not-object"],
+)
+def test_malformed_entries_raise_schema_error_and_exit_2(tmp_path, command, text):
+    load = loads_policy if command == "check" else parse_iam
+    with pytest.raises(SchemaError):
+        load(text)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    if command == "check":
+        argv = ["check", "--policy", str(path), "--user", "Alice", "--op", "Read",
+                "--resource", "Bucket123"]
+    else:
+        argv = ["ingest", "--in", str(path), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
