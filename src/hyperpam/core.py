@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import ItemsView, Iterable, Iterator, Optional, Union
 
 from .errors import (
     DuplicateName,
@@ -154,6 +154,12 @@ class Violation:
         return f"{self.rule}({self.subject}): {self.detail}"
 
 
+def _sort_by_id(adj: dict[HyperedgeId, VertexId]) -> None:
+    items = sorted(adj.items())
+    adj.clear()
+    adj.update(items)
+
+
 class PolicyHypergraph:
     """Vertex/hyperedge store with exact incidence indexing.
 
@@ -171,10 +177,10 @@ class PolicyHypergraph:
         self._edges: dict[HyperedgeId, Hyperedge] = {}
         self._incidence: dict[VertexId, set[HyperedgeId]] = {}
         self._name_index: dict[tuple[VertexKind, str], VertexId] = {}
-        # Directed assignment adjacency and per-vertex association lists keep
-        # traversal from scanning an attribute's full (potentially huge) fan.
-        self._assign_out: dict[VertexId, list[tuple[HyperedgeId, VertexId]]] = {}
-        self._assign_in: dict[VertexId, list[tuple[HyperedgeId, VertexId]]] = {}
+        # Assignment adjacency (edge id -> neighbour, ascending ids) and per-vertex
+        # association sets keep traversal from scanning an attribute's whole fan.
+        self._assign_out: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
+        self._assign_in: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
         self._assoc_incidence: dict[VertexId, set[HyperedgeId]] = {}
         self._next_vertex_id = 0
         self._next_edge_id = 0
@@ -205,8 +211,8 @@ class PolicyHypergraph:
         self._next_vertex_id = max(self._next_vertex_id, vid + 1)
         self._vertices[vid] = Vertex(vid, kind, name, account, dict(tags or {}))
         self._incidence[vid] = set()
-        self._assign_out[vid] = []
-        self._assign_in[vid] = []
+        self._assign_out[vid] = {}
+        self._assign_in[vid] = {}
         self._assoc_incidence[vid] = set()
         self._name_index[key] = vid
         return vid
@@ -247,8 +253,12 @@ class PolicyHypergraph:
         for vid in set(edge.members):
             self._incidence[vid].add(edge.id)
         if edge.kind is HyperedgeKind.ASSIGNMENT:
-            self._assign_out[edge.tail].append((edge.id, edge.head))
-            self._assign_in[edge.head].append((edge.id, edge.tail))
+            out, into = self._assign_out[edge.tail], self._assign_in[edge.head]
+            out[edge.id] = edge.head
+            into[edge.id] = edge.tail
+            if edge.id + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
+                _sort_by_id(out)
+                _sort_by_id(into)
         else:
             for vid in set(edge.members):
                 self._assoc_incidence[vid].add(edge.id)
@@ -363,15 +373,15 @@ class PolicyHypergraph:
         """Remove the edge and every index entry that mentions it.
 
         Cost is proportional to the edge's member count, not to how many
-        principals gained access through it.
+        principals gained access through it nor to any attribute's fan-in.
         """
         edge = self.edge(eid)
         del self._edges[eid]
         for vid in set(edge.members):
             self._incidence[vid].discard(eid)
         if edge.kind is HyperedgeKind.ASSIGNMENT:
-            self._assign_out[edge.tail].remove((eid, edge.head))
-            self._assign_in[edge.head].remove((eid, edge.tail))
+            del self._assign_out[edge.tail][eid]
+            del self._assign_in[edge.head][eid]
         else:
             for vid in set(edge.members):
                 self._assoc_incidence[vid].discard(eid)
@@ -388,12 +398,12 @@ class PolicyHypergraph:
             return {e for e in ids if self._edges[e].active}
         return set(ids)
 
-    # internal, unchecked accessors for the traversal hot path
-    def assignments_from(self, vid: VertexId) -> list[tuple[HyperedgeId, VertexId]]:
-        return self._assign_out[vid]
+    # internal, unchecked accessors for the traversal hot path (ascending edge ids)
+    def assignments_from(self, vid: VertexId) -> ItemsView[HyperedgeId, VertexId]:
+        return self._assign_out[vid].items()
 
-    def assignments_to(self, vid: VertexId) -> list[tuple[HyperedgeId, VertexId]]:
-        return self._assign_in[vid]
+    def assignments_to(self, vid: VertexId) -> ItemsView[HyperedgeId, VertexId]:
+        return self._assign_in[vid].items()
 
     def associations_at(self, vid: VertexId) -> set[HyperedgeId]:
         return self._assoc_incidence[vid]

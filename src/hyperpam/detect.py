@@ -111,7 +111,7 @@ def _sensitive_resources_below(
         return cached
     found: dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]] = {}
     seen = {ra}
-    # (vertex, depth, edge seq, vertex seq); FIFO with sorted expansion keeps
+    # (vertex, depth, edge seq, vertex seq); FIFO with id-ordered expansion keeps
     # first arrival = shortest + lexicographically smallest
     queue: list[tuple[VertexId, int, tuple[int, ...], tuple[VertexId, ...]]] = [
         (ra, 0, (), ())
@@ -120,7 +120,7 @@ def _sensitive_resources_below(
     while head < len(queue):
         v, d, eseq, vseq = queue[head]
         head += 1
-        for eid, tail in sorted(policy.assignments_to(v)):
+        for eid, tail in policy.assignments_to(v):
             edge = policy.edge(eid)
             if not edge.active or not edge_satisfied(policy, edge, ctx):
                 continue
@@ -200,7 +200,7 @@ def detect_escalations(
                             if cur is None or cand[:2] < cur[:2]:
                                 best[rid] = cand
             if d + 1 < max_depth:
-                for eid, w in sorted(policy.assignments_from(v)):
+                for eid, w in policy.assignments_from(v):
                     edge = policy.edge(eid)
                     if not edge.active or not edge_satisfied(policy, edge, ctx):
                         continue
@@ -267,7 +267,7 @@ def detect_over_privileged(
                 line = lineages.get(v)
                 if line is None:
                     line = lineages[v] = tuple(
-                        _resource_closure(policy, v, ctx, math.inf, _Counter())
+                        _resource_closure(policy, v, ctx, math.inf, _Counter())[0]
                     )
                 mask = 0
                 for a in line:

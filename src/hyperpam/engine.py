@@ -25,8 +25,9 @@ sequence, so identical inputs always produce identical answers.
 
 Traversal work is metered in implementation-neutral units so the engine
 can be compared against the baseline models: +1 per adjacency fetch, +1
-per hyperedge evaluated, +1 per non-empty constraint list evaluated, and
-+1 per membership probe against the opposite closure.
+per hyperedge evaluated, +1 per non-empty constraint list evaluated, +1
+per membership probe against the opposite closure, and +1 per descent hop
+(a descent follows edges recorded on the way up, so fan-in adds nothing).
 """
 
 from __future__ import annotations
@@ -157,16 +158,19 @@ def _resource_closure(
     ctx: EvaluationContext,
     max_depth: int,
     count: _Counter,
-) -> dict[VertexId, int]:
-    """Distance map of the resource and the attributes it ascends to."""
+) -> tuple[dict[VertexId, int], dict[VertexId, tuple[int, VertexId]]]:
+    """Distance map of the resource and the attributes it ascends to, and
+    each attribute's descent step: the smallest-id live ``(edge id, child)``
+    into it from one level closer to the resource."""
     dist = {resource: 0}
+    down: dict[VertexId, tuple[int, VertexId]] = {}
     frontier = [resource]
     d = 0
     while frontier and d < max_depth - 1:
         nxt: list[VertexId] = []
         for v in frontier:
             count.n += 1  # adjacency fetch
-            for eid, head in sorted(policy.assignments_from(v)):
+            for eid, head in policy.assignments_from(v):
                 count.n += 1  # edge evaluated
                 edge = policy.edge(eid)
                 if not edge.active:
@@ -177,50 +181,36 @@ def _resource_closure(
                         continue
                 if policy.vertex(head).kind is not VertexKind.RESOURCE_ATTR:
                     continue
-                if head not in dist:
+                hd = dist.get(head)
+                if hd is None:
                     dist[head] = d + 1
+                    down[head] = (eid, v)
                     nxt.append(head)
+                elif hd == d + 1 and eid < down[head][0]:
+                    down[head] = (eid, v)
         frontier = nxt
         d += 1
-    return dist
+    return dist, down
 
 
 def _descend(
-    policy: PolicyHypergraph,
-    start: VertexId,
-    rdist: dict[VertexId, int],
-    ctx: EvaluationContext,
+    edges: tuple[int, ...],
+    verts: tuple[VertexId, ...],
+    down: dict[VertexId, tuple[int, VertexId]],
     count: _Counter,
 ) -> tuple[tuple[int, ...], tuple[VertexId, ...]]:
-    """Lexicographically smallest shortest descent from ``start`` to the resource.
-
-    Greedy is exact here: rdist certifies that any vertex one level down
-    still completes a shortest descent, so taking the smallest edge id at
-    each step minimizes the sequence.
+    """Extend a path ending in the resource closure by the lexicographically
+    smallest shortest descent to the resource, one recorded edge per hop.
+    Greedy is exact: each recorded child sits one level closer to the
+    resource, so the smallest edge id at each step minimizes the sequence.
     """
-    edges: list[int] = []
-    verts: list[VertexId] = []
-    v = start
-    while rdist[v] > 0:
-        count.n += 1  # adjacency fetch
-        best: Optional[tuple[int, VertexId]] = None
-        for eid, tail in sorted(policy.assignments_to(v)):
-            count.n += 1
-            edge = policy.edge(eid)
-            if not edge.active:
-                continue
-            if edge.constraints:
-                count.n += 1
-                if not edge_satisfied(policy, edge, ctx):
-                    continue
-            if rdist.get(tail) == rdist[v] - 1:
-                best = (eid, tail)
-                break
-        assert best is not None, "rdist certified a descent that disappeared"
-        edges.append(best[0])
-        verts.append(best[1])
-        v = best[1]
-    return tuple(edges), tuple(verts)
+    v = verts[-1]
+    while v in down:
+        count.n += 1  # descent hop
+        eid, v = down[v]
+        edges += (eid,)
+        verts += (v,)
+    return edges, verts
 
 
 def check_privilege(
@@ -235,7 +225,7 @@ def check_privilege(
     count = _Counter()
     ctx = q.ctx
 
-    rdist = _resource_closure(policy, q.resource, ctx, max_depth, count)
+    rdist, down = _resource_closure(policy, q.resource, ctx, max_depth, count)
 
     # (total length, prefix edge seq, prefix vertex seq, bridge edge, exit vertex)
     candidates: list[tuple[int, tuple[int, ...], tuple[VertexId, ...], int, VertexId]] = []
@@ -269,7 +259,7 @@ def check_privilege(
                     if total <= max_depth:
                         candidates.append((total, pedges, pverts, eid, m))
         if d + 1 < max_depth:  # one edge must remain for the bridge
-            for eid, w in sorted(policy.assignments_from(v)):
+            for eid, w in policy.assignments_from(v):
                 count.n += 1
                 edge = policy.edge(eid)
                 if not edge.active:
@@ -287,19 +277,14 @@ def check_privilege(
     if not candidates:
         return AccessDecision(False, None, count.n)
 
+    # edge sequences of distinct candidates differ, so min() ranks by edges
     shortest = min(c[0] for c in candidates)
-    best: Optional[tuple[tuple[int, ...], tuple[VertexId, ...]]] = None
-    for total, pedges, pverts, bridge, exit_v in candidates:
-        if total != shortest:
-            continue
-        sedges, sverts = _descend(policy, exit_v, rdist, ctx, count)
-        full_edges = pedges + (bridge,) + sedges
-        full_verts = pverts + (exit_v,) + sverts
-        if best is None or full_edges < best[0]:
-            best = (full_edges, full_verts)
-    assert best is not None
-    witness = AccessPath(best[1], best[0])
-    return AccessDecision(True, witness, count.n)
+    edges, verts = min(
+        _descend(pedges + (bridge,), pverts + (exit_v,), down, count)
+        for total, pedges, pverts, bridge, exit_v in candidates
+        if total == shortest
+    )
+    return AccessDecision(True, AccessPath(verts, edges), count.n)
 
 
 def find_access_paths(
@@ -433,7 +418,7 @@ def _user_side_closure(
     while frontier and d < max_depth - 1:
         nxt: list[VertexId] = []
         for v in frontier:
-            for eid, w in sorted(policy.assignments_from(v)):
+            for eid, w in policy.assignments_from(v):
                 edge = policy.edge(eid)
                 if not edge.active or not edge_satisfied(policy, edge, ctx):
                     continue
@@ -464,7 +449,7 @@ def _resources_below(
     while frontier:
         nxt: list[VertexId] = []
         for v in frontier:
-            for eid, tail in sorted(policy.assignments_to(v)):
+            for eid, tail in policy.assignments_to(v):
                 edge = policy.edge(eid)
                 if not edge.active or not edge_satisfied(policy, edge, ctx):
                     continue

@@ -21,6 +21,7 @@ import json
 import os
 import secrets
 from datetime import datetime
+from operator import itemgetter
 from typing import Any
 
 from .core import (
@@ -121,7 +122,7 @@ def _expect(obj: Any, key: str, types, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise SchemaError(f"{where}: missing required field {key!r}")
     value = obj[key]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (type(value) is bool and types is int):
         raise SchemaError(f"{where}.{key}: wrong type {type(value).__name__}")
     return value
 
@@ -150,6 +151,7 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
             raise SchemaError(f"{where}: {exc}") from None
 
     edge_kinds = {k.value: k for k in HyperedgeKind}
+    edges = []
     for i, eobj in enumerate(_expect(obj, "hyperedges", list, "$")):
         where = f"$.hyperedges[{i}]"
         eid = _expect(eobj, "id", int, where)
@@ -157,7 +159,7 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
         if kind_s not in edge_kinds:
             raise SchemaError(f"{where}.kind: unknown hyperedge kind {kind_s!r}")
         members = _expect(eobj, "members", list, where)
-        if not all(isinstance(m, int) for m in members):
+        if not all(type(m) is int for m in members):
             raise SchemaError(f"{where}.members: entries must be vertex ids")
         perms = _expect(eobj, "permissions", list, where)
         constraints = [
@@ -165,10 +167,12 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
             for j, c in enumerate(_expect(eobj, "constraints", list, where))
         ]
         active = _expect(eobj, "active", bool, where)
+        edges.append((eid, where, edge_kinds[kind_s], members, perms, constraints, active))
+    # in id order, so no adjacency insert has to re-sort (see core._new_edge)
+    edges.sort(key=itemgetter(0))
+    for eid, where, kind, members, perms, constraints, active in edges:
         try:
-            policy.add_raw_hyperedge(
-                edge_kinds[kind_s], members, perms, constraints, active, _id=eid
-            )
+            policy.add_raw_hyperedge(kind, members, perms, constraints, active, _id=eid)
         except Exception as exc:
             raise SchemaError(f"{where}: {exc}") from None
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import timedelta
 
 from hyperpam.core import (
@@ -15,6 +16,7 @@ from hyperpam.core import (
 from hyperpam.engine import EvaluationContext
 from hyperpam.generator import EPOCH
 from hyperpam.rng import Rng
+from hyperpam.serialize import dumps_policy
 
 ACCOUNTS = ("acct-a", "acct-b", "acct-c")
 APPROVAL_TAGS = ("ticket", "oncall")
@@ -113,3 +115,21 @@ def random_policy(
 
     assert not p.validate()
     return p
+
+
+def bool_id_document(where: str) -> str:
+    """A one-assignment policy document with a JSON boolean where an id
+    belongs: a vertex id ("vertex"), a hyperedge id ("hyperedge") or an
+    edge member ("member")."""
+    p = PolicyHypergraph()
+    u = p.add_vertex(VertexKind.USER, "u")
+    ua = p.add_vertex(VertexKind.USER_ATTR, "ua")
+    p.add_assignment(u, ua)
+    obj = json.loads(dumps_policy(p))
+    if where == "vertex":
+        obj["vertices"][1]["id"] = True
+    elif where == "hyperedge":
+        obj["hyperedges"][0]["id"] = False
+    else:
+        obj["hyperedges"][0]["members"] = [False, 1]
+    return json.dumps(obj)

@@ -10,6 +10,8 @@ from hyperpam.cli import main
 from hyperpam.generator import EVAL_TS, make_fixture_usecase
 from hyperpam.serialize import load_policy, save_policy
 
+from .builders import bool_id_document
+
 AT = EVAL_TS.isoformat()
 
 
@@ -151,6 +153,18 @@ def test_ingest_subcommand(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["ingest", "--in", str(bad), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("where", ["vertex", "hyperedge"])
+def test_boolean_id_in_policy_exits_2(tmp_path, capsys, where):
+    path = tmp_path / "bool.json"
+    path.write_text(bool_id_document(where))
+    code = main(
+        ["check", "--policy", str(path), "--user", "u", "--op", "Read",
+         "--resource", "r", "--at", AT]
+    )
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

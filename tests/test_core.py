@@ -25,7 +25,7 @@ from hyperpam.generator import EPOCH
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy, loads_policy
 
-from .builders import random_policy
+from .builders import bool_id_document, random_policy
 
 
 @pytest.fixture
@@ -246,6 +246,12 @@ def test_deserialization_rejects_bad_schema():
         loads_policy(
             '{"permission_universe": ["Read"], "vertices": [{"id": "x"}], "hyperedges": []}'
         )
+
+
+@pytest.mark.parametrize("where", ["vertex", "hyperedge", "member"])
+def test_deserialization_rejects_boolean_ids(where):
+    with pytest.raises(SchemaError, match="id|members"):
+        loads_policy(bool_id_document(where))
 
 
 def test_constraints_serialize():
