@@ -18,9 +18,7 @@ from .engine import (
     PathSearchResult,
     PrivilegeQuery,
     check_privilege,
-    co_membership_permissions,
     effective_permission_map,
-    effective_permissions,
     find_access_paths,
 )
 from .detect import (

@@ -4,8 +4,10 @@ Fairness rules: at each scale point every model consumes the identical
 policy and workload (their hashes are logged in the CSV seed column), the
 wall clock is monotonic, build and detection phases are timed separately,
 and the reported detection time is the median over repeats after one
-discarded warm-up run. Everything except the timing columns reproduces
-byte-for-byte from a seed.
+discarded warm-up run. The false-positive rate scores the decisions those
+runs made (every run must make the same ones, at the sweep's ``max_depth``)
+against ground truth; no query is decided a second time for scoring.
+Everything except the timing columns reproduces byte-for-byte from a seed.
 """
 
 from __future__ import annotations
@@ -13,26 +15,26 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .baselines import MODELS, abac_check, build_abac, build_dag, dag_check, detect_all
+from .baselines import MODELS, detect_all
+from .baselines import (  # noqa: F401 - perfbench/tracing.py wraps them under this module
+    abac_check,
+    build_abac,
+    build_dag,
+    dag_check,
+)
 from .core import PolicyHypergraph, VertexKind
-from .engine import (
-    DEFAULT_MAX_DEPTH,
-    EvaluationContext,
-    PrivilegeQuery,
+from .engine import DEFAULT_MAX_DEPTH, EvaluationContext, PrivilegeQuery
+from .engine import (  # noqa: F401 - perfbench/tracing.py wraps it under this module
     effective_permission_map,
 )
 from .errors import ConfigInvalid, DegenerateInput, GroundTruthMismatch
 from .generator import GenConfig, GroundTruth, config_for_scale, generate
 from .rng import Rng
 from .serialize import dumps_policy
-
-THREADS_ENV = "HYPERPAM_THREADS"
 
 WORKLOAD_MODES = ("per_user", "all_pairs_sampled")
 # fixed operation mix for generated workloads
@@ -146,64 +148,28 @@ def _h8(text: str) -> str:
 
 
 def measure_fp(
-    model: str,
     policy: PolicyHypergraph,
     gt: GroundTruth,
-    ctx: EvaluationContext,
-    probes: Optional[Sequence[PrivilegeQuery]] = None,
+    probes: Sequence[PrivilegeQuery],
+    decisions: Sequence[bool],
 ) -> float:
     """Fraction of flagged facts that are not attributable to labeled violations.
 
-    A fact is flagged when the model allows it but ground truth does not
-    list it as intended; flagged facts that match an injected violation are
-    true positives. Probes default to every (user, op, resource) triple;
-    each probe acts under the probed user's own account.
+    ``decisions[i]`` is a model's answer to ``probes[i]``; nothing is decided
+    again here, so a sweep scores exactly the decisions it timed. A probe is
+    flagged when it was allowed but ground truth does not list it as
+    intended under the probe's own context; flagged facts that match an
+    injected violation are true positives.
     """
+    if len(probes) != len(decisions):
+        raise ConfigInvalid(f"{len(probes)} probes but {len(decisions)} decisions")
     for uid in gt.user_roles:
         if not policy.has_vertex(uid):
             raise GroundTruthMismatch(f"ground truth names unknown user {uid}")
-    if probes is None:
-        users = sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER))
-        resources = sorted(v.id for v in policy.vertices_of_kind(VertexKind.RESOURCE))
-        probes = [
-            PrivilegeQuery(
-                u, op, r, replace(ctx, acting_account=policy.vertex(u).account)
-            )
-            for u in users
-            for op in policy.universe.names
-            for r in resources
-        ]
-
-    if model == "abac":
-        g = build_abac(policy)
-        decide = lambda q: abac_check(g, q).allowed  # noqa: E731
-    elif model == "dag":
-        d = build_dag(policy)
-        decide = lambda q: dag_check(d, q).allowed  # noqa: E731
-    elif model == "hyper":
-        maps: dict[tuple[int, EvaluationContext], dict[int, int]] = {}
-        # descents depend on the context (SameAccount on assignments), so
-        # each context gets its own memo
-        memos: dict[EvaluationContext, dict] = {}
-
-        def decide(q: PrivilegeQuery) -> bool:
-            key = (q.user, q.ctx)
-            granted = maps.get(key)
-            if granted is None:
-                granted = effective_permission_map(
-                    policy, q.user, q.ctx, DEFAULT_MAX_DEPTH,
-                    _descend_memo=memos.setdefault(q.ctx, {}),
-                )
-                maps[key] = granted
-            return bool(granted.get(q.resource, 0) & policy.universe.bit(q.op))
-
-    else:
-        raise ConfigInvalid(f"unknown model {model!r}; expected one of {MODELS}")
-
     flagged = 0
     false_pos = 0
-    for q in probes:
-        if not decide(q):
+    for q, allowed in zip(probes, decisions):
+        if not allowed:
             continue
         opbit = policy.universe.bit(q.op)
         if gt.is_intended(q.user, opbit, q.resource, q.ctx):
@@ -259,9 +225,9 @@ def run_sweep(
         if m not in MODELS:
             raise ConfigInvalid(f"unknown model {m!r}")
     template = cfg_template or (lambda n, s: config_for_scale(n, seed=s))
-    ns = list(range(n_start, n_end + 1, n_step))
 
-    def run_point(n: int) -> SweepPoint:
+    points: list[SweepPoint] = []
+    for n in range(n_start, n_end + 1, n_step):
         cfg = template(n, seed)
         policy, gt = generate(cfg)
         policy_json = dumps_policy(policy)
@@ -285,7 +251,7 @@ def run_sweep(
             for other in runs[1:]:
                 if other.decisions != base.decisions or other.per_query_ops != base.per_query_ops:
                     raise AssertionError(f"{model} produced nondeterministic results")
-            fp = measure_fp(model, policy, gt, gt.context_for(0), probes=workload)
+            fp = measure_fp(policy, gt, workload, base.decisions)
             point.records.append(
                 BenchRecord(
                     model=model,
@@ -302,16 +268,7 @@ def run_sweep(
             )
             point.decisions[model] = base.decisions
             point.per_query_ops[model] = base.per_query_ops
-        return point
-
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
-    if workers == 1:
-        points = [run_point(n) for n in ns]
-    else:
-        # parallel points trade timing fidelity for throughput; measurements
-        # within one point still run on a single thread
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(run_point, ns))
+        points.append(point)
 
     records = [r for p in points for r in p.records]
     records.sort(key=lambda r: (r.n, MODELS.index(r.model)))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import ItemsView, Iterable, Iterator, Optional, Union
+from typing import ItemsView, Iterable, Iterator, KeysView, Optional, Union
 
 from .errors import (
     DuplicateName,
@@ -154,7 +154,7 @@ class Violation:
         return f"{self.rule}({self.subject}): {self.detail}"
 
 
-def _sort_by_id(adj: dict[HyperedgeId, VertexId]) -> None:
+def _sort_by_id(adj: dict) -> None:
     items = sorted(adj.items())
     adj.clear()
     adj.update(items)
@@ -177,11 +177,12 @@ class PolicyHypergraph:
         self._edges: dict[HyperedgeId, Hyperedge] = {}
         self._incidence: dict[VertexId, set[HyperedgeId]] = {}
         self._name_index: dict[tuple[VertexKind, str], VertexId] = {}
-        # Assignment adjacency (edge id -> neighbour, ascending ids) and per-vertex
-        # association sets keep traversal from scanning an attribute's whole fan.
+        # Assignment adjacency (edge id -> neighbour) and per-vertex association
+        # ids (edge id -> None), all in ascending id order, keep traversal from
+        # scanning an attribute's whole fan or sorting what it visits.
         self._assign_out: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
         self._assign_in: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
-        self._assoc_incidence: dict[VertexId, set[HyperedgeId]] = {}
+        self._assoc_incidence: dict[VertexId, dict[HyperedgeId, None]] = {}
         self._next_vertex_id = 0
         self._next_edge_id = 0
 
@@ -213,7 +214,7 @@ class PolicyHypergraph:
         self._incidence[vid] = set()
         self._assign_out[vid] = {}
         self._assign_in[vid] = {}
-        self._assoc_incidence[vid] = set()
+        self._assoc_incidence[vid] = {}
         self._name_index[key] = vid
         return vid
 
@@ -253,15 +254,16 @@ class PolicyHypergraph:
         for vid in set(edge.members):
             self._incidence[vid].add(edge.id)
         if edge.kind is HyperedgeKind.ASSIGNMENT:
-            out, into = self._assign_out[edge.tail], self._assign_in[edge.head]
-            out[edge.id] = edge.head
-            into[edge.id] = edge.tail
-            if edge.id + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
-                _sort_by_id(out)
-                _sort_by_id(into)
+            touched = [self._assign_out[edge.tail], self._assign_in[edge.head]]
+            touched[0][edge.id] = edge.head
+            touched[1][edge.id] = edge.tail
         else:
-            for vid in set(edge.members):
-                self._assoc_incidence[vid].add(edge.id)
+            touched = [self._assoc_incidence[vid] for vid in set(edge.members)]
+            for ids in touched:
+                ids[edge.id] = None
+        if edge.id + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
+            for adj in touched:
+                _sort_by_id(adj)
         return edge.id
 
     def _require_vertices(self, ids: Iterable[VertexId]) -> None:
@@ -384,7 +386,7 @@ class PolicyHypergraph:
             del self._assign_in[edge.head][eid]
         else:
             for vid in set(edge.members):
-                self._assoc_incidence[vid].discard(eid)
+                del self._assoc_incidence[vid][eid]
 
     def set_active(self, eid: HyperedgeId, active: bool) -> None:
         self.edge(eid).active = bool(active)
@@ -405,8 +407,8 @@ class PolicyHypergraph:
     def assignments_to(self, vid: VertexId) -> ItemsView[HyperedgeId, VertexId]:
         return self._assign_in[vid].items()
 
-    def associations_at(self, vid: VertexId) -> set[HyperedgeId]:
-        return self._assoc_incidence[vid]
+    def associations_at(self, vid: VertexId) -> KeysView[HyperedgeId]:
+        return self._assoc_incidence[vid].keys()
 
     # ------------------------------------------------------------------
     # validation

@@ -169,7 +169,7 @@ def detect_escalations(
             v, d, pedges, pverts = queue[head]
             head += 1
             if d >= 2 and d + 1 <= max_depth:
-                for eid in sorted(policy.associations_at(v)):
+                for eid in policy.associations_at(v):
                     edge = policy.edge(eid)
                     if not edge.active or not edge.perm_mask:
                         continue

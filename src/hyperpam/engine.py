@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .core import (
     ApprovalRequired,
@@ -49,7 +49,6 @@ from .core import (
     as_utc,
 )
 from .errors import KindMismatch, UnknownPermission, UnknownVertex
-from .perm import PermissionSet
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -241,7 +240,7 @@ def check_privilege(
         head += 1
         count.n += 1  # adjacency fetch
         if d + 1 <= max_depth:
-            for eid in sorted(policy.associations_at(v)):
+            for eid in policy.associations_at(v):
                 count.n += 1
                 edge = policy.edge(eid)
                 if not edge.active or not (edge.perm_mask & opbit):
@@ -371,40 +370,6 @@ def find_access_paths(
     return PathSearchResult(paths, False)
 
 
-def co_membership_permissions(
-    policy: PolicyHypergraph, user: VertexId, resource: VertexId
-) -> PermissionSet:
-    """Intersection of labels over active hyperedges containing both vertices.
-
-    The empty family intersects to the full universe by convention.
-    """
-    common = policy.incident_edges(user, live_only=True) & policy.incident_edges(
-        resource, live_only=True
-    )
-    mask = policy.universe.full_mask
-    for eid in sorted(common):
-        mask &= policy.edge(eid).perm_mask
-    return PermissionSet(policy.universe, mask)
-
-
-def effective_permissions(
-    policy: PolicyHypergraph,
-    user: VertexId,
-    resource: VertexId,
-    ctx: EvaluationContext,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> PermissionSet:
-    """Operations the user can apply to the resource via some valid path."""
-    mask = 0
-    for name in policy.universe.names:
-        decision = check_privilege(
-            policy, PrivilegeQuery(user, name, resource, ctx), max_depth
-        )
-        if decision.allowed:
-            mask |= policy.universe.bit(name)
-    return PermissionSet(policy.universe, mask)
-
-
 def _user_side_closure(
     policy: PolicyHypergraph,
     start: VertexId,
@@ -485,7 +450,7 @@ def live_grants(
         budget = max_depth - d - 1
         if budget < 0:
             continue
-        for eid in sorted(policy.associations_at(v)):
+        for eid in policy.associations_at(v):
             edge = policy.edge(eid)
             if not edge.active or not edge.perm_mask:
                 continue
@@ -505,10 +470,11 @@ def effective_permission_map(
 ) -> dict[VertexId, int]:
     """Permission mask per reachable resource, in one sweep from ``subject``.
 
-    Equivalent to calling effective_permissions against every resource, but
-    amortizes the attribute-closure and descent work. ``subject`` may be a
-    user or a user attribute. A ``_descend_memo`` shared between calls must
-    only be shared between calls with equal contexts.
+    For a user subject, ``op``'s bit is set for resource ``r`` exactly when
+    ``check_privilege`` allows ``op`` on ``r`` under ``ctx``; the closure and
+    descent work is shared across resources. ``subject`` may also be a user
+    attribute. A ``_descend_memo`` shared between calls must only be shared
+    between calls with equal contexts.
     """
     memo = _descend_memo if _descend_memo is not None else {}
     granted: dict[VertexId, int] = {}

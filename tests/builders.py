@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from datetime import timedelta
 
 from hyperpam.core import (
@@ -11,10 +12,17 @@ from hyperpam.core import (
     PolicyHypergraph,
     SameAccount,
     TimeWindow,
+    VertexId,
     VertexKind,
 )
-from hyperpam.engine import EvaluationContext
+from hyperpam.engine import (
+    DEFAULT_MAX_DEPTH,
+    EvaluationContext,
+    PrivilegeQuery,
+    check_privilege,
+)
 from hyperpam.generator import EPOCH
+from hyperpam.perm import PermissionSet
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy
 
@@ -133,3 +141,54 @@ def bool_id_document(where: str) -> str:
     else:
         obj["hyperedges"][0]["members"] = [False, 1]
     return json.dumps(obj)
+
+
+def all_triple_probes(
+    policy: PolicyHypergraph, ctx: EvaluationContext
+) -> list[PrivilegeQuery]:
+    """Every (user, op, resource) probe, each acting under the probed user's
+    own account and otherwise under ``ctx``."""
+    users = sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER))
+    resources = sorted(v.id for v in policy.vertices_of_kind(VertexKind.RESOURCE))
+    return [
+        PrivilegeQuery(
+            u, op, r, replace(ctx, acting_account=policy.vertex(u).account)
+        )
+        for u in users
+        for op in policy.universe.names
+        for r in resources
+    ]
+
+
+def co_membership_permissions(
+    policy: PolicyHypergraph, user: VertexId, resource: VertexId
+) -> PermissionSet:
+    """Intersection of labels over active hyperedges containing both vertices.
+
+    The empty family intersects to the full universe by convention.
+    """
+    common = policy.incident_edges(user, live_only=True) & policy.incident_edges(
+        resource, live_only=True
+    )
+    mask = policy.universe.full_mask
+    for eid in sorted(common):
+        mask &= policy.edge(eid).perm_mask
+    return PermissionSet(policy.universe, mask)
+
+
+def effective_permissions(
+    policy: PolicyHypergraph,
+    user: VertexId,
+    resource: VertexId,
+    ctx: EvaluationContext,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+) -> PermissionSet:
+    """Operations the user can apply to the resource via some valid path."""
+    mask = 0
+    for name in policy.universe.names:
+        decision = check_privilege(
+            policy, PrivilegeQuery(user, name, resource, ctx), max_depth
+        )
+        if decision.allowed:
+            mask |= policy.universe.bit(name)
+    return PermissionSet(policy.universe, mask)

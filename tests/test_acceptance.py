@@ -17,7 +17,7 @@ from dataclasses import replace
 import pytest
 from scipy import stats as scipy_stats
 
-from hyperpam.baselines import build_abac
+from hyperpam.baselines import build_abac, detect_all
 from hyperpam.bench import (
     build_workload,
     emit_csv,
@@ -45,7 +45,7 @@ from hyperpam.generator import (
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy
 
-from .builders import random_context, random_policy
+from .builders import all_triple_probes, random_context, random_policy
 from .oracle import oracle_allows
 
 SEED = 1234
@@ -219,9 +219,11 @@ def test_criterion_6_false_positive_ordering():
             )
         ]
         assert gated, f"seed {seed} generated no expired or scoped grant"
-        fp_h = measure_fp("hyper", policy, gt, ctx)
-        fp_d = measure_fp("dag", policy, gt, ctx)
-        fp_a = measure_fp("abac", policy, gt, ctx)
+        probes = all_triple_probes(policy, ctx)
+        fp_h, fp_d, fp_a = (
+            measure_fp(policy, gt, probes, detect_all(m, policy, probes).decisions)
+            for m in ("hyper", "dag", "abac")
+        )
         assert fp_h == 0.0, f"seed {seed}: hypergraph fp {fp_h}"
         assert fp_a >= fp_d >= fp_h
         assert fp_a > fp_h, f"seed {seed}: no strict abac gap"

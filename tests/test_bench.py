@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
+from typing import Optional, Sequence
 
 import pytest
 
+from hyperpam.baselines import (
+    MODELS,
+    abac_check,
+    build_abac,
+    build_dag,
+    dag_check,
+    detect_all,
+)
 from hyperpam.bench import (
     CSV_HEADER,
     build_workload,
@@ -18,11 +27,137 @@ from hyperpam.bench import (
     workload_to_json,
 )
 from hyperpam.core import HyperedgeKind, PolicyHypergraph, SameAccount, VertexKind
-from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
-from hyperpam.errors import ConfigInvalid, DegenerateInput
+from hyperpam.engine import (
+    DEFAULT_MAX_DEPTH,
+    EvaluationContext,
+    PrivilegeQuery,
+    check_privilege,
+    effective_permission_map,
+)
+from hyperpam.errors import ConfigInvalid, DegenerateInput, GroundTruthMismatch
 from hyperpam.generator import EVAL_TS, GenConfig, Grant, GroundTruth, config_for_scale, generate
 
+from .builders import all_triple_probes
+
 CTX = EvaluationContext(EVAL_TS, "")
+
+
+def measure_fp_oracle(
+    model: str,
+    policy: PolicyHypergraph,
+    gt: GroundTruth,
+    ctx: EvaluationContext,
+    probes: Optional[Sequence[PrivilegeQuery]] = None,
+) -> float:
+    """``measure_fp`` as it was when it re-decided every probe itself, kept
+    verbatim as a differential oracle.
+
+    Fraction of flagged facts that are not attributable to labeled violations.
+
+    A fact is flagged when the model allows it but ground truth does not
+    list it as intended; flagged facts that match an injected violation are
+    true positives. Probes default to every (user, op, resource) triple;
+    each probe acts under the probed user's own account.
+    """
+    for uid in gt.user_roles:
+        if not policy.has_vertex(uid):
+            raise GroundTruthMismatch(f"ground truth names unknown user {uid}")
+    if probes is None:
+        users = sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER))
+        resources = sorted(v.id for v in policy.vertices_of_kind(VertexKind.RESOURCE))
+        probes = [
+            PrivilegeQuery(
+                u, op, r, replace(ctx, acting_account=policy.vertex(u).account)
+            )
+            for u in users
+            for op in policy.universe.names
+            for r in resources
+        ]
+
+    if model == "abac":
+        g = build_abac(policy)
+        decide = lambda q: abac_check(g, q).allowed  # noqa: E731
+    elif model == "dag":
+        d = build_dag(policy)
+        decide = lambda q: dag_check(d, q).allowed  # noqa: E731
+    elif model == "hyper":
+        maps: dict[tuple[int, EvaluationContext], dict[int, int]] = {}
+        # descents depend on the context (SameAccount on assignments), so
+        # each context gets its own memo
+        memos: dict[EvaluationContext, dict] = {}
+
+        def decide(q: PrivilegeQuery) -> bool:
+            key = (q.user, q.ctx)
+            granted = maps.get(key)
+            if granted is None:
+                granted = effective_permission_map(
+                    policy, q.user, q.ctx, DEFAULT_MAX_DEPTH,
+                    _descend_memo=memos.setdefault(q.ctx, {}),
+                )
+                maps[key] = granted
+            return bool(granted.get(q.resource, 0) & policy.universe.bit(q.op))
+
+    else:
+        raise ConfigInvalid(f"unknown model {model!r}; expected one of {MODELS}")
+
+    flagged = 0
+    false_pos = 0
+    for q in probes:
+        if not decide(q):
+            continue
+        opbit = policy.universe.bit(q.op)
+        if gt.is_intended(q.user, opbit, q.resource, q.ctx):
+            continue
+        flagged += 1
+        if not gt.is_violation_fact(q.user, opbit, q.resource):
+            false_pos += 1
+    return false_pos / flagged if flagged else 0.0
+
+
+def _fp(model: str, policy: PolicyHypergraph, gt: GroundTruth, probes) -> float:
+    """fp rate of the decisions ``detect_all`` makes for ``model``."""
+    return measure_fp(policy, gt, probes, detect_all(model, policy, probes).decisions)
+
+
+def _ladder_config(seed: int) -> GenConfig:
+    return GenConfig(
+        n_users=24,
+        n_roles=6,
+        n_resources=30,
+        pct_temporal=0.3,
+        pct_scoped=0.2,
+        injected_chains=1,
+        injected_excess=1,
+        seed=seed,
+    )
+
+
+def _same_account_policy():
+    """r -> t carries SameAccount, so only probes acting from account x see r
+    below t; b holds no role in the ledger, so any Read b is allowed is a
+    false positive."""
+    p = PolicyHypergraph()
+    pc = p.add_vertex(VertexKind.POLICY_CLASS, "pc")
+    a = p.add_vertex(VertexKind.USER, "a", "x")
+    b = p.add_vertex(VertexKind.USER, "b", "y")
+    role = p.add_vertex(VertexKind.USER_ATTR, "role", "x")
+    t = p.add_vertex(VertexKind.RESOURCE_ATTR, "t", "x")
+    r = p.add_vertex(VertexKind.RESOURCE, "r", "x")
+    p.add_assignment(a, role)
+    p.add_assignment(b, role)
+    p.add_raw_hyperedge(HyperedgeKind.ASSIGNMENT, [r, t], (), [SameAccount()])
+    grant = p.add_association([role], [t], pc, ["Read"])
+    assert not p.validate()
+    gt = GroundTruth(
+        eval_timestamp=EVAL_TS,
+        user_roles={a: (role,), b: ()},
+        user_account={a: "x", b: "y"},
+        grants=[Grant(role, t, p.universe.mask_of(["Read"]), grant)],
+        resource_types={r: (t,)},
+        resources_by_type={t: (r,)},
+    )
+    probes = [PrivilegeQuery(u, "Read", r, gt.context_for(u)) for u in (a, b)]
+    return p, gt, probes
 
 
 def test_fit_recovers_planted_exponents():
@@ -62,53 +197,22 @@ def test_workload_is_deterministic_and_per_user():
 
 
 def test_measure_fp_hypergraph_exact_and_ladder():
-    cfg = GenConfig(
-        n_users=24,
-        n_roles=6,
-        n_resources=30,
-        pct_temporal=0.3,
-        pct_scoped=0.2,
-        injected_chains=1,
-        injected_excess=1,
-        seed=31,
-    )
-    policy, gt = generate(cfg)
-    fp_h = measure_fp("hyper", policy, gt, CTX)
-    fp_d = measure_fp("dag", policy, gt, CTX)
-    fp_a = measure_fp("abac", policy, gt, CTX)
+    policy, gt = generate(_ladder_config(31))
+    probes = all_triple_probes(policy, CTX)
+    fp_h = _fp("hyper", policy, gt, probes)
+    fp_d = _fp("dag", policy, gt, probes)
+    fp_a = _fp("abac", policy, gt, probes)
     assert fp_h == 0.0
     assert fp_a >= fp_d >= fp_h
     assert fp_a > 0.0  # expired + scoped canaries guarantee a gap
 
 
 def test_measure_fp_hyper_descends_per_context():
-    # r -> t carries SameAccount, so only probes acting from account x see r
-    # below t; a descent cached for a's probe must not answer b's
-    p = PolicyHypergraph()
-    pc = p.add_vertex(VertexKind.POLICY_CLASS, "pc")
-    a = p.add_vertex(VertexKind.USER, "a", "x")
-    b = p.add_vertex(VertexKind.USER, "b", "y")
-    role = p.add_vertex(VertexKind.USER_ATTR, "role", "x")
-    t = p.add_vertex(VertexKind.RESOURCE_ATTR, "t", "x")
-    r = p.add_vertex(VertexKind.RESOURCE, "r", "x")
-    p.add_assignment(a, role)
-    p.add_assignment(b, role)
-    p.add_raw_hyperedge(HyperedgeKind.ASSIGNMENT, [r, t], (), [SameAccount()])
-    grant = p.add_association([role], [t], pc, ["Read"])
-    assert not p.validate()
-    # b holds no role in the ledger, so any Read b is allowed is a false positive
-    gt = GroundTruth(
-        eval_timestamp=EVAL_TS,
-        user_roles={a: (role,), b: ()},
-        user_account={a: "x", b: "y"},
-        grants=[Grant(role, t, p.universe.mask_of(["Read"]), grant)],
-        resource_types={r: (t,)},
-        resources_by_type={t: (r,)},
-    )
-    probes = [PrivilegeQuery(u, "Read", r, gt.context_for(u)) for u in (a, b)]
+    # a descent cached for a's probe must not answer b's
+    p, gt, probes = _same_account_policy()
     assert check_privilege(p, probes[0]).allowed
     assert not check_privilege(p, probes[1]).allowed
-    assert measure_fp("hyper", p, gt, CTX, probes=probes) == 0.0
+    assert _fp("hyper", p, gt, probes) == 0.0
 
 
 def test_measure_fp_zero_over_zero():
@@ -117,7 +221,40 @@ def test_measure_fp_zero_over_zero():
         pct_temporal=0.0, pct_scoped=0.0, seed=1,
     )
     policy, gt = generate(cfg)
-    assert measure_fp("hyper", policy, gt, CTX) == 0.0
+    assert _fp("hyper", policy, gt, all_triple_probes(policy, CTX)) == 0.0
+
+
+@pytest.mark.parametrize("seed", [31, 100, 101, 102, 103, 104])
+@pytest.mark.parametrize("model", MODELS)
+def test_measure_fp_matches_redeciding_oracle(model, seed):
+    policy, gt = generate(_ladder_config(seed))
+    probes = all_triple_probes(policy, CTX)
+    assert _fp(model, policy, gt, probes) == measure_fp_oracle(model, policy, gt, CTX)
+    workload = build_workload(policy, gt, seed=seed)
+    assert _fp(model, policy, gt, workload) == measure_fp_oracle(
+        model, policy, gt, CTX, probes=workload
+    )
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_measure_fp_matches_oracle_on_same_account_policy(model):
+    p, gt, probes = _same_account_policy()
+    assert _fp(model, p, gt, probes) == measure_fp_oracle(model, p, gt, CTX, probes=probes)
+
+
+def test_measure_fp_rejects_length_mismatch():
+    p, gt, probes = _same_account_policy()
+    with pytest.raises(ConfigInvalid):
+        measure_fp(p, gt, probes, [True])
+    with pytest.raises(ConfigInvalid):
+        measure_fp(p, gt, probes[:1], [True, False])
+
+
+def test_measure_fp_rejects_unknown_ledger_user():
+    p, gt, probes = _same_account_policy()
+    gt = replace(gt, user_roles={**gt.user_roles, 999: ()})
+    with pytest.raises(GroundTruthMismatch):
+        measure_fp(p, gt, probes, [False, False])
 
 
 def test_sweep_cardinality_and_csv(tmp_path):
@@ -180,12 +317,6 @@ def test_sweep_determinism_modulo_timing(tmp_path):
         return out
 
     assert strip_timing(a.read_text()) == strip_timing(b.read_text())
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPERPAM_THREADS", "2")
-    result = run_sweep(["hyper"], 200, 600, 200, repeats=1, seed=3, queries_per_n=10)
-    assert [r.n for r in result.records] == [200, 400, 600]
 
 
 def test_report_contains_fits_and_speedup(tmp_path):

@@ -27,6 +27,7 @@ from hyperpam.engine import (
     edge_satisfied,
 )
 from hyperpam.generator import EPOCH
+from hyperpam.perm import PermissionSet
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy, loads_policy
 
@@ -96,7 +97,11 @@ def _assert_witnesses_match_oracle(policy, ctx, max_depth=MAX_DEPTH):
 
 def _adjacency(policy):
     return {
-        v.id: (list(policy.assignments_from(v.id)), list(policy.assignments_to(v.id)))
+        v.id: (
+            list(policy.assignments_from(v.id)),
+            list(policy.assignments_to(v.id)),
+            list(policy.associations_at(v.id)),
+        )
         for v in policy.vertices()
     }
 
@@ -180,6 +185,68 @@ def test_out_of_order_raw_ids_keep_adjacency_sorted():
     assert _assert_witnesses_match_oracle(p, CTX) == 1
     d = check_privilege(p, PrivilegeQuery(ids["u"], "Read", ids["r"], CTX))
     assert d.witness.edges[:2] == (4, 40) and d.witness.edges[3:] == (20, 10)
+
+
+def test_out_of_order_raw_associations_keep_incidence_sorted(monkeypatch):
+    p = PolicyHypergraph()
+    pc = p.add_vertex(VertexKind.POLICY_CLASS, "pc")
+    ua = p.add_vertex(VertexKind.USER_ATTR, "ua", "a")
+    ub = p.add_vertex(VertexKind.USER_ATTR, "ub", "a")
+    ra = p.add_vertex(VertexKind.RESOURCE_ATTR, "ra", "a")
+    rb = p.add_vertex(VertexKind.RESOURCE_ATTR, "rb", "a")
+    S = HyperedgeKind.ASSOCIATION
+    raw = p.add_raw_hyperedge
+    raw(S, (ua, ra, pc), ["Read"], _id=30)
+    raw(S, (ua, ub, rb, pc), ["Read"], _id=7)
+    raw(S, (ua, ra, rb, pc), ["Write"], _id=50)
+    raw(S, (ub, ra, pc), ["Read"], _id=12)
+    assert not p.validate()
+
+    def order():
+        return {v: list(p.associations_at(v)) for v in (pc, ua, ub, ra, rb)}
+
+    assert order() == {
+        pc: [7, 12, 30, 50], ua: [7, 30, 50], ub: [7, 12], ra: [12, 30, 50], rb: [7, 50],
+    }
+    p.remove_hyperedge(30)
+    p.remove_hyperedge(7)
+    assert order() == {pc: [12, 50], ua: [50], ub: [12], ra: [12, 50], rb: [50]}
+
+    sorted_dicts = []
+    resort = core._sort_by_id
+    monkeypatch.setattr(
+        core, "_sort_by_id", lambda adj: (sorted_dicts.append(adj), resort(adj))
+    )
+    assert p.add_association([ua], [ra], pc, ["Read"]) == 51
+    assert sorted_dicts == []  # a fresh id is the largest; nothing re-sorts
+    raw(S, (ua, ra, pc), ["Read"], _id=30)  # an id freed above, reused
+    touched = [p._assoc_incidence[v] for v in (ua, ra, pc)]
+    assert sorted(map(id, sorted_dicts)) == sorted(map(id, touched))
+    assert order() == {
+        pc: [12, 30, 50, 51], ua: [30, 50, 51], ub: [12], ra: [12, 30, 50, 51], rb: [50],
+    }
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_association_incidence_ascends_under_raw_inserts_and_removals(seed):
+    rng = Rng(seed * 7919 + 5)
+    policy = random_policy(rng)
+    edges = list(policy.edges())
+    rng.shuffle(edges)
+    for e in edges[: len(edges) // 3]:
+        policy.remove_hyperedge(e.id)
+    for e in edges[: len(edges) // 3][::-1]:  # back in, reusing the freed ids
+        perms = PermissionSet(policy.universe, e.perm_mask)
+        policy.add_raw_hyperedge(
+            e.kind, e.members, perms, e.constraints, e.active, _id=e.id
+        )
+    for v in policy.vertices():
+        expected = sorted(
+            e.id for e in policy.edges()
+            if e.kind is HyperedgeKind.ASSOCIATION and v.id in e.members
+        )
+        assert list(policy.associations_at(v.id)) == expected
+    _assert_witnesses_match_oracle(policy, random_context(rng))
 
 
 def _reversed_document(policy):

@@ -13,16 +13,19 @@ from hyperpam.engine import (
     EvaluationContext,
     PrivilegeQuery,
     check_privilege,
-    co_membership_permissions,
     effective_permission_map,
-    effective_permissions,
     find_access_paths,
 )
 from hyperpam.errors import KindMismatch, UnknownPermission, UnknownVertex
 from hyperpam.generator import EPOCH
 from hyperpam.rng import Rng
 
-from .builders import random_context, random_policy
+from .builders import (
+    co_membership_permissions,
+    effective_permissions,
+    random_context,
+    random_policy,
+)
 
 CTX = EvaluationContext(EPOCH + timedelta(hours=1), "acct-dev")
 

@@ -8,12 +8,11 @@ from hyperpam.core import VertexKind
 from hyperpam.engine import (
     PrivilegeQuery,
     check_privilege,
-    effective_permissions,
     find_access_paths,
 )
 from hyperpam.rng import Rng
 
-from .builders import random_context, random_policy
+from .builders import effective_permissions, random_context, random_policy
 from .oracle import enumerate_paths, is_valid_path, oracle_allows
 
 N_POLICIES = 150
