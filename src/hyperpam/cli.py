@@ -7,6 +7,7 @@ detection, so CI can gate on it), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from datetime import datetime, timedelta, timezone
 
@@ -32,10 +33,13 @@ from .ingest import parse_iam, to_hypergraph
 from .serialize import load_policy, parse_rfc3339, save_policy
 
 
+def _at_from_args(args) -> datetime:
+    return parse_rfc3339(args.at) if args.at else datetime.now(timezone.utc)
+
+
 def _ctx_from_args(args) -> EvaluationContext:
-    at = parse_rfc3339(args.at) if args.at else datetime.now(timezone.utc)
     return EvaluationContext(
-        at, args.account or "", frozenset(args.approve or ())
+        _at_from_args(args), args.account or "", frozenset(args.approve or ())
     )
 
 
@@ -107,11 +111,9 @@ def _cmd_escalations(args) -> int:
 
 
 def _cmd_overprivileged(args) -> int:
-    import json as _json
-
     policy = load_policy(args.policy)
     with open(args.ground_truth, "r", encoding="utf-8") as fh:
-        gt_obj = _json.load(fh)
+        gt_obj = json.load(fh)
     by_subject: dict[int, dict[int, int]] = {}
     for user, op, resource in gt_obj.get("intended", []):
         mask = policy.universe.bit(op)
@@ -126,9 +128,8 @@ def _cmd_overprivileged(args) -> int:
 
 def _cmd_window(args) -> int:
     policy = load_policy(args.policy)
-    at = parse_rfc3339(args.at) if args.at else datetime.now(timezone.utc)
     report = attack_window_report(
-        policy, at, timedelta(seconds=args.expiring_within)
+        policy, _at_from_args(args), timedelta(seconds=args.expiring_within)
     )
     for eid in report.expired:
         print(f"expired e{eid}")
@@ -139,8 +140,7 @@ def _cmd_window(args) -> int:
 
 def _cmd_revoke_expired(args) -> int:
     policy = load_policy(args.policy)
-    at = parse_rfc3339(args.at) if args.at else datetime.now(timezone.utc)
-    count = revoke_expired(policy, at)
+    count = revoke_expired(policy, _at_from_args(args))
     save_policy(policy, args.out or args.policy)
     print(f"revoked {count} expired hyperedges")
     return 0

@@ -36,9 +36,10 @@ from .engine import (
     DEFAULT_MAX_DEPTH,
     AccessPath,
     EvaluationContext,
+    _ascend,
     _Counter,
-    _resource_closure,
-    _resources_below,
+    _descend,
+    _path_to,
     edge_satisfied,
     effective_permission_map,  # noqa: F401 - perfbench/tracing.py wraps it under this module
     live_grants,
@@ -97,44 +98,6 @@ class AttackWindowReport:
     expiring: list[int] = field(default_factory=list)
 
 
-def _sensitive_resources_below(
-    policy: PolicyHypergraph,
-    ra: VertexId,
-    ctx: EvaluationContext,
-    tag_key: str,
-    tag_value: str,
-    memo: dict[VertexId, dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]]],
-) -> dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]]:
-    """Sensitive resources under ``ra`` with shortest lex-min descents."""
-    cached = memo.get(ra)
-    if cached is not None:
-        return cached
-    found: dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]] = {}
-    seen = {ra}
-    # (vertex, depth, edge seq, vertex seq); FIFO with id-ordered expansion keeps
-    # first arrival = shortest + lexicographically smallest
-    queue: list[tuple[VertexId, int, tuple[int, ...], tuple[VertexId, ...]]] = [
-        (ra, 0, (), ())
-    ]
-    head = 0
-    while head < len(queue):
-        v, d, eseq, vseq = queue[head]
-        head += 1
-        for eid, tail in policy.assignments_to(v):
-            edge = policy.edge(eid)
-            if not edge.active or not edge_satisfied(policy, edge, ctx):
-                continue
-            vert = policy.vertex(tail)
-            if vert.kind is VertexKind.RESOURCE:
-                if tail not in found and vert.tags.get(tag_key) == tag_value:
-                    found[tail] = (d + 1, eseq + (eid,), vseq + (tail,))
-            elif vert.kind is VertexKind.RESOURCE_ATTR and tail not in seen:
-                seen.add(tail)
-                queue.append((tail, d + 1, eseq + (eid,), vseq + (tail,)))
-    memo[ra] = found
-    return found
-
-
 def detect_escalations(
     policy: PolicyHypergraph,
     sensitive_tag: tuple[str, str],
@@ -143,73 +106,80 @@ def detect_escalations(
 ) -> list[EscalationFinding]:
     """Role-chaining paths from any user to any sensitive-tagged resource.
 
-    Findings are ordered by (user id, path length, edge ids, target).
-    Exhaustive on acyclic attribute hierarchies; a cyclic hierarchy (which
-    the rest of the toolchain rejects) is scanned conservatively.
+    Each finding is the shortest valid path from the user to the target
+    that crosses two or more user attributes, ties broken by the smallest
+    edge-id sequence. This holds on cyclic role hierarchies too, which
+    ``PolicyHypergraph.validate`` accepts. Findings are ordered by (user id,
+    path length, edge ids, target). Each role a user holds directly is
+    ascended once per pass, and what it reaches is shared by its holders.
     """
     tag_key, tag_value = sensitive_tag
     if not tag_key or not tag_value:
         raise ValueError("sensitive tag key and value must be non-empty")
 
     descend_memo: dict = {}
-    findings: list[EscalationFinding] = []
+    # vertex -> {sensitive resource: (edges, vertices) from the vertex down}
+    sensitive: dict[VertexId, dict] = {}
 
-    users = sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER))
-    for uid in users:
-        # BFS over (vertex, chained) where chained means the prefix already
-        # crossed >= 2 user attributes; a vertex may be reached once per flag
-        # (a direct role plus a chained route to the same role are distinct).
-        best: dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]] = {}
-        seen: set[tuple[VertexId, bool]] = {(uid, False)}
-        queue: list[tuple[VertexId, int, tuple[int, ...], tuple[VertexId, ...]]] = [
-            (uid, 0, (), (uid,))
-        ]
-        head = 0
-        while head < len(queue):
-            v, d, pedges, pverts = queue[head]
-            head += 1
-            if d >= 2 and d + 1 <= max_depth:
-                for eid in policy.associations_at(v):
-                    edge = policy.edge(eid)
-                    if not edge.active or not edge.perm_mask:
-                        continue
-                    if not edge_satisfied(policy, edge, ctx):
-                        continue
-                    for m in sorted(set(edge.members)):
-                        mk = policy.vertex(m).kind
-                        if mk is VertexKind.RESOURCE:
-                            if policy.vertex(m).tags.get(tag_key) != tag_value:
-                                continue
-                            hits = {m: (0, (), ())}
-                        elif mk is VertexKind.RESOURCE_ATTR:
-                            hits = _sensitive_resources_below(
-                                policy, m, ctx, tag_key, tag_value, descend_memo
-                            )
-                        else:
+    def tagged(v: VertexId) -> bool:
+        return policy.vertex(v).tags.get(tag_key) == tag_value
+
+    def sensitive_below(m: VertexId) -> dict:
+        if m not in sensitive:
+            kind = policy.vertex(m).kind
+            if kind is VertexKind.RESOURCE_ATTR:
+                below, step = _descend(policy, m, ctx, descend_memo)
+                sensitive[m] = {rid: _path_to(step, rid) for rid in below if tagged(rid)}
+            else:
+                sensitive[m] = {m: ((), (m,))} if kind is VertexKind.RESOURCE and tagged(m) else {}
+        return sensitive[m]
+
+    # role -> {sensitive resource: (length from a holder, edges, vertices)}
+    # over paths that start at the role and cross one more user attribute
+    role_hits: dict[VertexId, dict] = {}
+
+    def chained_from(role: VertexId):
+        best = role_hits.get(role)
+        if best is not None:
+            return best
+        best = role_hits[role] = {}
+        dist, up = _ascend(policy, role, ctx, max_depth - 1, _Counter())
+        for w, k in dist.items():
+            if not k:
+                continue
+            pedges, pverts = _path_to(up, w)
+            for eid in policy.associations_at(w):
+                edge = policy.edge(eid)
+                if not edge.active or not edge.perm_mask:
+                    continue
+                if not edge_satisfied(policy, edge, ctx):
+                    continue
+                for m in edge.members:
+                    for rid, (dedges, dverts) in sensitive_below(m).items():
+                        # user -> role, k hops up, the bridge, the descent
+                        total = 2 + k + len(dedges)
+                        if total > max_depth:
                             continue
-                        for rid, (rd, seq_e, seq_v) in hits.items():
-                            total = d + 1 + rd
-                            if total > max_depth:
-                                continue
-                            if rd:
-                                verts = pverts + (m,) + seq_v
-                            else:
-                                verts = pverts + (rid,)
-                            cand = (total, pedges + (eid,) + seq_e, verts)
-                            cur = best.get(rid)
-                            if cur is None or cand[:2] < cur[:2]:
-                                best[rid] = cand
-            if d + 1 < max_depth:
-                for eid, w in policy.assignments_from(v):
-                    edge = policy.edge(eid)
-                    if not edge.active or not edge_satisfied(policy, edge, ctx):
-                        continue
-                    if policy.vertex(w).kind is not VertexKind.USER_ATTR:
-                        continue
-                    key = (w, d + 1 >= 2)
-                    if key not in seen and w not in pverts:
-                        seen.add(key)
-                        queue.append((w, d + 1, pedges + (eid,), pverts + (w,)))
+                        cand = (total, pedges + (eid,) + dedges, pverts + dverts)
+                        cur = best.get(rid)
+                        if cur is None or cand[:2] < cur[:2]:
+                            best[rid] = cand
+        return best
+
+    findings: list[EscalationFinding] = []
+    for uid in sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER)):
+        best: dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]] = {}
+        for eid, role in policy.assignments_from(uid):
+            edge = policy.edge(eid)
+            if not edge.active or not edge_satisfied(policy, edge, ctx):
+                continue
+            if policy.vertex(role).kind is not VertexKind.USER_ATTR:
+                continue
+            for rid, (total, edges, verts) in chained_from(role).items():
+                cand = (total, (eid,) + edges)
+                cur = best.get(rid)
+                if cur is None or cand < cur[:2]:
+                    best[rid] = cand + ((uid,) + verts,)
 
         for rid in sorted(best):
             total, eseq, vseq = best[rid]
@@ -267,7 +237,7 @@ def detect_over_privileged(
                 line = lineages.get(v)
                 if line is None:
                     line = lineages[v] = tuple(
-                        _resource_closure(policy, v, ctx, math.inf, _Counter())[0]
+                        _ascend(policy, v, ctx, math.inf, _Counter())[0]
                     )
                 mask = 0
                 for a in line:
@@ -282,7 +252,7 @@ def detect_over_privileged(
             if policy.vertex(target).kind is VertexKind.RESOURCE:
                 below = {target: 0}
             else:
-                below = _resources_below(policy, target, ctx, below_memo)
+                below = _descend(policy, target, ctx, below_memo)[0]
             for rid, rd in below.items():
                 if rd <= budget:
                     extra = mask & ~need(rid)

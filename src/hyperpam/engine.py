@@ -17,30 +17,40 @@ vertex-hyperedge path. A path is valid when:
 * every edge on the path is active and its constraints hold under the
   query context.
 
-Search is bidirectional: the resource's attribute closure is computed
-first, then a breadth-first sweep of the user's attribute closure probes
-each reachable association against that closure. Witnesses are
-shortest, with ties broken by the lexicographically smallest hyperedge-id
-sequence, so identical inputs always produce identical answers.
+Decisions and detection passes are built from two walks. An ascent climbs
+live, ctx-satisfied assignments from a user through the user attributes
+above it, or from a resource through the resource attributes above it, and
+records each reached vertex's distance and one step back toward the start.
+A descent walks down from a resource attribute through resource attributes
+to the resources below it, records the same kind of step, and is memoized
+per (vertex, context). A query ascends from the resource and from the user,
+probes every association in the user's closure against the resource's
+closure, and rebuilds paths from the recorded steps for the shortest
+candidates only. Witnesses are shortest, with ties broken by the
+lexicographically smallest hyperedge-id sequence, so identical inputs
+always produce identical answers. ``find_access_paths`` instead enumerates
+every valid path, best first.
 
-Traversal work is metered in implementation-neutral units so the engine
-can be compared against the baseline models: +1 per adjacency fetch, +1
-per hyperedge evaluated, +1 per non-empty constraint list evaluated, +1
-per membership probe against the opposite closure, and +1 per descent hop
-(a descent follows edges recorded on the way up, so fan-in adds nothing).
+Query work is metered in implementation-neutral units so the engine can be
+compared against the baseline models: +1 per adjacency fetch (every vertex
+of the user's closure, and every vertex of the resource's closure short of
+the depth limit), +1 per hyperedge evaluated, +1 per non-empty constraint
+list evaluated, +1 per membership probe against the resource closure, and
++1 per hop of the witness's descent (it follows steps recorded on the way
+up, so fan-in adds nothing).
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, Optional
 
 from .core import (
+    RESOURCE_SIDE_KINDS,
     ApprovalRequired,
     Hyperedge,
-    HyperedgeKind,
     PolicyHypergraph,
     SameAccount,
     TimeWindow,
@@ -48,7 +58,7 @@ from .core import (
     VertexKind,
     as_utc,
 )
-from .errors import KindMismatch, UnknownPermission, UnknownVertex
+from .errors import KindMismatch, UnknownPermission
 
 DEFAULT_MAX_DEPTH = 8
 
@@ -151,51 +161,110 @@ def _check_query(policy: PolicyHypergraph, q: PrivilegeQuery) -> int:
     return policy.universe.bit(q.op)
 
 
-def _resource_closure(
+# vertex -> (edge id, the vertex one level closer to the walk's start)
+_Steps = dict[VertexId, tuple[int, VertexId]]
+
+
+def _ascend(
     policy: PolicyHypergraph,
-    resource: VertexId,
+    start: VertexId,
     ctx: EvaluationContext,
-    max_depth: int,
+    max_depth: float,
     count: _Counter,
-) -> tuple[dict[VertexId, int], dict[VertexId, tuple[int, VertexId]]]:
-    """Distance map of the resource and the attributes it ascends to, and
-    each attribute's descent step: the smallest-id live ``(edge id, child)``
-    into it from one level closer to the resource."""
-    dist = {resource: 0}
-    down: dict[VertexId, tuple[int, VertexId]] = {}
-    frontier = [resource]
-    d = 0
-    while frontier and d < max_depth - 1:
-        nxt: list[VertexId] = []
-        for v in frontier:
-            count.n += 1  # adjacency fetch
-            for eid, head in policy.assignments_from(v):
-                count.n += 1  # edge evaluated
-                edge = policy.edge(eid)
-                if not edge.active:
+) -> tuple[dict[VertexId, int], _Steps]:
+    """Distances of ``start`` and the attributes it ascends to over live,
+    ctx-satisfied assignments, at most ``max_depth - 1`` hops, and each
+    attribute's step ``(edge id, vertex one level closer to start)``.
+
+    A user-side walk keeps the first step found in BFS order, so following
+    steps back spells the lexicographically smallest shortest path read from
+    ``start``. A resource-side walk keeps the smallest edge id, so following
+    steps down spells the smallest shortest descent to ``start``.
+    """
+    lowest = policy.vertex(start).kind in RESOURCE_SIDE_KINDS
+    kind = VertexKind.RESOURCE_ATTR if lowest else VertexKind.USER_ATTR
+    dist = {start: 0}
+    step: _Steps = {}
+    queue = [start]
+    for v in queue:  # appended to while read: breadth-first, level by level
+        d = dist[v]
+        if d >= max_depth - 1:
+            break
+        count.n += 1  # adjacency fetch
+        for eid, head in policy.assignments_from(v):
+            count.n += 1  # edge evaluated
+            edge = policy.edge(eid)
+            if not edge.active:
+                continue
+            if edge.constraints:
+                count.n += 1
+                if not edge_satisfied(policy, edge, ctx):
                     continue
-                if edge.constraints:
-                    count.n += 1
-                    if not edge_satisfied(policy, edge, ctx):
-                        continue
-                if policy.vertex(head).kind is not VertexKind.RESOURCE_ATTR:
-                    continue
-                hd = dist.get(head)
-                if hd is None:
-                    dist[head] = d + 1
-                    down[head] = (eid, v)
-                    nxt.append(head)
-                elif hd == d + 1 and eid < down[head][0]:
-                    down[head] = (eid, v)
-        frontier = nxt
-        d += 1
-    return dist, down
+            if policy.vertex(head).kind is not kind:
+                continue
+            hd = dist.get(head)
+            if hd is None:
+                dist[head] = d + 1
+                step[head] = (eid, v)
+                queue.append(head)
+            elif lowest and hd == d + 1 and eid < step[head][0]:
+                step[head] = (eid, v)
+    return dist, step
 
 
 def _descend(
+    policy: PolicyHypergraph,
+    ra: VertexId,
+    ctx: EvaluationContext,
+    memo: dict[tuple[VertexId, EvaluationContext], tuple[dict[VertexId, int], _Steps]],
+) -> tuple[dict[VertexId, int], _Steps]:
+    """Resources below ``ra`` over live, ctx-satisfied assignments with their
+    hop distances, and each reached vertex's first-found step ``(edge id,
+    vertex one level closer to ra)``, memoized by ``(ra, ctx)``. Steps are
+    first found in BFS order, so the path back up from a resource, reversed,
+    is the lexicographically smallest shortest descent from ``ra``.
+    """
+    key = (ra, ctx)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    dist = {ra: 0}
+    below: dict[VertexId, int] = {}
+    step: _Steps = {}
+    queue = [ra]
+    for v in queue:  # appended to while read: breadth-first, level by level
+        for eid, tail in policy.assignments_to(v):
+            edge = policy.edge(eid)
+            if tail in dist or not edge.active or not edge_satisfied(policy, edge, ctx):
+                continue
+            kind = policy.vertex(tail).kind
+            if kind is VertexKind.RESOURCE:
+                below[tail] = dist[v] + 1
+            elif kind is VertexKind.RESOURCE_ATTR:
+                queue.append(tail)
+            else:
+                continue
+            dist[tail] = dist[v] + 1
+            step[tail] = (eid, v)
+    memo[key] = below, step
+    return below, step
+
+
+def _path_to(step: _Steps, v: VertexId) -> tuple[tuple[int, ...], tuple[VertexId, ...]]:
+    """Edges and vertices of the recorded path from a walk's start to ``v``."""
+    edges: tuple[int, ...] = ()
+    verts: tuple[VertexId, ...] = (v,)
+    while v in step:
+        eid, v = step[v]
+        edges = (eid,) + edges
+        verts = (v,) + verts
+    return edges, verts
+
+
+def _extend(
     edges: tuple[int, ...],
     verts: tuple[VertexId, ...],
-    down: dict[VertexId, tuple[int, VertexId]],
+    down: _Steps,
     count: _Counter,
 ) -> tuple[tuple[int, ...], tuple[VertexId, ...]]:
     """Extend a path ending in the resource closure by the lexicographically
@@ -224,65 +293,43 @@ def check_privilege(
     count = _Counter()
     ctx = q.ctx
 
-    rdist, down = _resource_closure(policy, q.resource, ctx, max_depth, count)
+    rdist, down = _ascend(policy, q.resource, ctx, max_depth, count)
+    udist, up = _ascend(policy, q.user, ctx, max_depth, count)
 
-    # (total length, prefix edge seq, prefix vertex seq, bridge edge, exit vertex)
-    candidates: list[tuple[int, tuple[int, ...], tuple[VertexId, ...], int, VertexId]] = []
-
-    seen = {q.user}
-    # queue entries: (vertex, dist, prefix edges, prefix vertices incl. vertex)
-    queue: list[tuple[VertexId, int, tuple[int, ...], tuple[VertexId, ...]]] = [
-        (q.user, 0, (), (q.user,))
-    ]
-    head = 0
-    while head < len(queue):
-        v, d, pedges, pverts = queue[head]
-        head += 1
-        count.n += 1  # adjacency fetch
-        if d + 1 <= max_depth:
-            for eid in policy.associations_at(v):
+    # (total length, user-side vertex, bridge edge, exit vertex)
+    candidates: list[tuple[int, VertexId, int, VertexId]] = []
+    for v, d in udist.items():
+        if d == max_depth - 1:
+            count.n += 1  # adjacency fetch the ascent skips at its last level
+        for eid in policy.associations_at(v):
+            count.n += 1
+            edge = policy.edge(eid)
+            if not edge.active or not (edge.perm_mask & opbit):
+                continue
+            if edge.constraints:
                 count.n += 1
-                edge = policy.edge(eid)
-                if not edge.active or not (edge.perm_mask & opbit):
+                if not edge_satisfied(policy, edge, ctx):
                     continue
-                if edge.constraints:
-                    count.n += 1
-                    if not edge_satisfied(policy, edge, ctx):
-                        continue
-                for m in edge.members:
-                    count.n += 1  # probe against the resource closure
-                    rd = rdist.get(m)
-                    if rd is None:
-                        continue
-                    total = d + 1 + rd
-                    if total <= max_depth:
-                        candidates.append((total, pedges, pverts, eid, m))
-        if d + 1 < max_depth:  # one edge must remain for the bridge
-            for eid, w in policy.assignments_from(v):
-                count.n += 1
-                edge = policy.edge(eid)
-                if not edge.active:
+            for m in edge.members:
+                count.n += 1  # probe against the resource closure
+                rd = rdist.get(m)
+                if rd is None:
                     continue
-                if edge.constraints:
-                    count.n += 1
-                    if not edge_satisfied(policy, edge, ctx):
-                        continue
-                if policy.vertex(w).kind is not VertexKind.USER_ATTR:
-                    continue
-                if w not in seen:
-                    seen.add(w)
-                    queue.append((w, d + 1, pedges + (eid,), pverts + (w,)))
+                total = d + 1 + rd
+                if total <= max_depth:
+                    candidates.append((total, v, eid, m))
 
     if not candidates:
         return AccessDecision(False, None, count.n)
 
     # edge sequences of distinct candidates differ, so min() ranks by edges
     shortest = min(c[0] for c in candidates)
-    edges, verts = min(
-        _descend(pedges + (bridge,), pverts + (exit_v,), down, count)
-        for total, pedges, pverts, bridge, exit_v in candidates
-        if total == shortest
-    )
+    witnesses = []
+    for total, v, bridge, exit_v in candidates:
+        if total == shortest:
+            pedges, pverts = _path_to(up, v)
+            witnesses.append(_extend(pedges + (bridge,), pverts + (exit_v,), down, count))
+    edges, verts = min(witnesses)
     return AccessDecision(True, AccessPath(verts, edges), count.n)
 
 
@@ -370,67 +417,6 @@ def find_access_paths(
     return PathSearchResult(paths, False)
 
 
-def _user_side_closure(
-    policy: PolicyHypergraph,
-    start: VertexId,
-    ctx: EvaluationContext,
-    max_depth: int,
-) -> dict[VertexId, int]:
-    """start plus the user attributes it ascends to, with distances."""
-    dist = {start: 0}
-    frontier = [start]
-    d = 0
-    while frontier and d < max_depth - 1:
-        nxt: list[VertexId] = []
-        for v in frontier:
-            for eid, w in policy.assignments_from(v):
-                edge = policy.edge(eid)
-                if not edge.active or not edge_satisfied(policy, edge, ctx):
-                    continue
-                if policy.vertex(w).kind is not VertexKind.USER_ATTR:
-                    continue
-                if w not in dist:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        frontier = nxt
-        d += 1
-    return dist
-
-
-def _resources_below(
-    policy: PolicyHypergraph,
-    ra: VertexId,
-    ctx: EvaluationContext,
-    memo: dict[VertexId, dict[VertexId, int]],
-) -> dict[VertexId, int]:
-    """Resources reachable descending from ``ra``, with hop distances."""
-    cached = memo.get(ra)
-    if cached is not None:
-        return cached
-    found: dict[VertexId, int] = {}
-    seen = {ra}
-    frontier = [ra]
-    d = 0
-    while frontier:
-        nxt: list[VertexId] = []
-        for v in frontier:
-            for eid, tail in policy.assignments_to(v):
-                edge = policy.edge(eid)
-                if not edge.active or not edge_satisfied(policy, edge, ctx):
-                    continue
-                kind = policy.vertex(tail).kind
-                if kind is VertexKind.RESOURCE:
-                    if tail not in found:
-                        found[tail] = d + 1
-                elif kind is VertexKind.RESOURCE_ATTR and tail not in seen:
-                    seen.add(tail)
-                    nxt.append(tail)
-        frontier = nxt
-        d += 1
-    memo[ra] = found
-    return found
-
-
 def live_grants(
     policy: PolicyHypergraph,
     subject: VertexId,
@@ -439,13 +425,13 @@ def live_grants(
 ) -> Iterator[tuple[VertexId, int, int]]:
     """Every grant ``subject`` holds under ``ctx``, as (target, budget, mask).
 
-    Walks the subject's attribute closure once and yields, for each active,
-    ctx-satisfied association with a non-empty label, each resource or
-    resource-attribute member with the number of descent hops the depth
-    limit still allows below it. ``subject`` may be a user or a user
-    attribute.
+    Ascends from the subject once and yields, for each active, ctx-satisfied
+    association with a non-empty label at a vertex of that ascent, each
+    resource or resource-attribute member with the number of descent hops
+    the depth limit still allows below it. ``subject`` may be a user or a
+    user attribute.
     """
-    closure = _user_side_closure(policy, subject, ctx, max_depth)
+    closure, _ = _ascend(policy, subject, ctx, max_depth, _Counter())
     for v, d in closure.items():
         budget = max_depth - d - 1
         if budget < 0:
@@ -466,15 +452,15 @@ def effective_permission_map(
     subject: VertexId,
     ctx: EvaluationContext,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    _descend_memo: Optional[dict[VertexId, dict[VertexId, int]]] = None,
+    _descend_memo: Optional[dict] = None,
 ) -> dict[VertexId, int]:
     """Permission mask per reachable resource, in one sweep from ``subject``.
 
     For a user subject, ``op``'s bit is set for resource ``r`` exactly when
     ``check_privilege`` allows ``op`` on ``r`` under ``ctx``; the closure and
     descent work is shared across resources. ``subject`` may also be a user
-    attribute. A ``_descend_memo`` shared between calls must only be shared
-    between calls with equal contexts.
+    attribute. A ``_descend_memo`` may be shared between calls under any
+    contexts, since descents are keyed by ``(vertex, ctx)``.
     """
     memo = _descend_memo if _descend_memo is not None else {}
     granted: dict[VertexId, int] = {}
@@ -482,7 +468,7 @@ def effective_permission_map(
         if policy.vertex(m).kind is VertexKind.RESOURCE:
             granted[m] = granted.get(m, 0) | mask
         else:
-            for rid, rd in _resources_below(policy, m, ctx, memo).items():
+            for rid, rd in _descend(policy, m, ctx, memo)[0].items():
                 if rd <= budget:
                     granted[rid] = granted.get(rid, 0) | mask
     return granted

@@ -132,7 +132,7 @@ def parse_iam(data: bytes | str) -> IamDocument:
         )
     try:
         obj = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON document: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError("$: document root must be an object")

@@ -187,8 +187,8 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
 
 def loads_policy(text: str | bytes) -> PolicyHypergraph:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     return policy_from_obj(obj)
 
@@ -216,5 +216,5 @@ def save_policy(policy: PolicyHypergraph, path: str) -> None:
 
 
 def load_policy(path: str) -> PolicyHypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return loads_policy(fh.read())

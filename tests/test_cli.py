@@ -167,6 +167,19 @@ def test_boolean_id_in_policy_exits_2(tmp_path, capsys, where):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [b"\x80{}", b"[" * 100_000], ids=["not-utf8", "deep"])
+def test_undecodable_input_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    code = main(
+        ["check", "--policy", str(path), "--user", "u", "--op", "Read",
+         "--resource", "r", "--at", AT]
+    )
+    assert code == 2
+    assert main(["ingest", "--in", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--user", "Alice"])  # missing required flags

@@ -104,13 +104,13 @@ def test_escalation_findings_are_deterministic_and_ordered():
 def _count_expansions(monkeypatch) -> list:
     """Record the attribute of every grant detect_over_privileged expands."""
     expanded = []
-    real = detect_mod._resources_below
+    real = detect_mod._descend
 
     def counting(policy, ra, ctx, memo):
         expanded.append(ra)
         return real(policy, ra, ctx, memo)
 
-    monkeypatch.setattr(detect_mod, "_resources_below", counting)
+    monkeypatch.setattr(detect_mod, "_descend", counting)
     return expanded
 
 

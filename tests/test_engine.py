@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpam.core import PolicyHypergraph, TimeWindow, VertexKind
+from hyperpam.core import HyperedgeKind, PolicyHypergraph, TimeWindow, VertexKind
 from hyperpam.engine import (
     EvaluationContext,
     PrivilegeQuery,
@@ -185,6 +185,37 @@ def test_effective_permission_map_matches_pointwise():
             granted = effective_permission_map(p, u, ctx)
             for r in resources:
                 assert granted.get(r, 0) == effective_permissions(p, u, r, ctx).mask
+
+
+def test_traversal_ops_at_the_depth_limit():
+    # max_depth 2: bucket fetch + edge, alice fetch + edge, dev fetch (dev is
+    # on the last level), the association, probes of its three members
+    # (dev, s3, the policy class); deny. max_depth 3: s3 is fetched too, and
+    # the witness adds one descent hop.
+    p, ids = build_iam_example()
+    q = PrivilegeQuery(ids["alice"], "Read", ids["bucket"], CTX)
+    decisions = [check_privilege(p, q, depth) for depth in (2, 3)]
+    assert [(d.allowed, d.traversal_ops) for d in decisions] == [(False, 9), (True, 11)]
+
+
+def test_effective_permission_map_memo_shared_across_contexts():
+    # a windowed assignment puts jit under s3 only inside the window, so a
+    # descent cached under one context must not answer the other
+    p, ids = build_iam_example()
+    t0 = EPOCH + timedelta(days=7)
+    jit = p.add_vertex(VertexKind.RESOURCE, "jit", "acct-dev")
+    p.add_raw_hyperedge(
+        HyperedgeKind.ASSIGNMENT, [jit, ids["s3"]], (), [TimeWindow(t0, t0 + timedelta(hours=2))]
+    )
+    assert not p.validate()
+    inside = EvaluationContext(t0 + timedelta(hours=1), "acct-dev")
+    after = EvaluationContext(t0 + timedelta(hours=3), "acct-dev")
+    fresh = {ctx: effective_permission_map(p, ids["alice"], ctx) for ctx in (inside, after)}
+    assert jit in fresh[inside] and jit not in fresh[after]
+    for order in ((inside, after), (after, inside)):
+        memo: dict = {}
+        for ctx in order:
+            assert effective_permission_map(p, ids["alice"], ctx, _descend_memo=memo) == fresh[ctx]
 
 
 def test_determinism_byte_identical():

@@ -1,0 +1,128 @@
+"""Malformed policy and IAM documents of any shape end in a PolicyError.
+
+Each loader is fed mutations of a valid document: a value anywhere in the
+JSON tree replaced by arbitrary JSON or deleted, or a slice of its bytes
+overwritten. Whatever the loader makes of the input, nothing but a
+``PolicyError`` may escape.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from datetime import timedelta
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hyperpam.core import ApprovalRequired, PolicyHypergraph, SameAccount, TimeWindow, VertexKind
+from hyperpam.errors import PolicyError
+from hyperpam.generator import EPOCH
+from hyperpam.ingest import parse_iam, to_hypergraph
+from hyperpam.serialize import constraint_to_obj, dumps_policy, loads_policy
+
+FUZZ = settings(max_examples=150, deadline=timedelta(seconds=2))
+
+CONSTRAINTS = [SameAccount(), TimeWindow(EPOCH, EPOCH + timedelta(hours=2)), ApprovalRequired("t")]
+
+
+def _policy_document() -> dict:
+    p = PolicyHypergraph()
+    pc = p.add_vertex(VertexKind.POLICY_CLASS, "pc")
+    u = p.add_vertex(VertexKind.USER, "u", "a")
+    role = p.add_vertex(VertexKind.USER_ATTR, "role", "a")
+    boss = p.add_vertex(VertexKind.USER_ATTR, "boss", "a")
+    r = p.add_vertex(VertexKind.RESOURCE, "r", "a", {"env": "production"})
+    ra = p.add_vertex(VertexKind.RESOURCE_ATTR, "ra", "a")
+    p.add_assignment(u, role)
+    p.add_assignment(role, boss)
+    p.add_assignment(r, ra)
+    p.add_association([boss], [ra], pc, ["Read", "Write"], CONSTRAINTS)
+    return json.loads(dumps_policy(p))
+
+
+POLICY = _policy_document()
+
+IAM = {
+    "users": [{"name": "Alice", "account": "a", "tags": {"team": "x"}}],
+    "roles": [
+        {"name": "Dev", "account": "a", "assumable_by": ["Alice"]},
+        {"name": "Ops", "account": "a", "assumable_by": ["Dev"]},
+    ],
+    "policies": [
+        {
+            "role": "Ops",
+            "actions": ["s3:GetObject", "s3:PutObject"],
+            "resources": ["b*"],
+            "policy_class": "AWS",
+            "constraints": [constraint_to_obj(c) for c in CONSTRAINTS],
+        }
+    ],
+    "resources": [{"name": "b1", "account": "a", "type": "s3", "tags": {"env": "prod"}}],
+}
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated(draw, doc: dict) -> str:
+    """``doc`` with one to three values replaced or deleted, as JSON text."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        # descend with probability 3/4 per level, so leaves are reached often
+        while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            doc = draw(JSON)
+        elif draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON)
+    return json.dumps(doc)
+
+
+@st.composite
+def spliced(draw, doc: dict) -> bytes:
+    """``doc``'s bytes with one slice overwritten by arbitrary bytes."""
+    raw = json.dumps(doc).encode()
+    i = draw(st.integers(0, len(raw)))
+    j = draw(st.integers(i, min(len(raw), i + 8)))
+    return raw[:i] + draw(st.binary(max_size=8)) + raw[j:]
+
+
+def _only_policy_errors(load, data) -> None:
+    try:
+        load(data)
+    except PolicyError:
+        pass
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@FUZZ
+@given(mutated(POLICY) | spliced(POLICY) | st.binary(max_size=32))
+@example(b"\x80{}")
+@example(DEEP)
+def test_loads_policy_raises_only_policy_errors(data):
+    _only_policy_errors(loads_policy, data)
+
+
+@FUZZ
+@given(mutated(IAM) | spliced(IAM) | st.binary(max_size=32))
+@example(b"\x80{}")
+@example(DEEP)
+def test_parse_iam_and_lowering_raise_only_policy_errors(data):
+    _only_policy_errors(lambda d: to_hypergraph(parse_iam(d)), data)
+
+
+def test_seed_documents_load():
+    assert loads_policy(json.dumps(POLICY)).edge_count == 4
+    assert to_hypergraph(parse_iam(json.dumps(IAM))).vertex_count == 6
