@@ -27,7 +27,7 @@ from .engine import (
     PrivilegeQuery,
     check_privilege,
 )
-from .errors import PolicyError
+from .errors import ParseError, PolicyError, SchemaError
 from .generator import GenConfig, generate
 from .ingest import parse_iam, to_hypergraph
 from .serialize import load_policy, parse_rfc3339, save_policy
@@ -41,6 +41,12 @@ def _ctx_from_args(args) -> EvaluationContext:
     return EvaluationContext(
         _at_from_args(args), args.account or "", frozenset(args.approve or ())
     )
+
+
+def _max_depth_from_args(args) -> int:
+    if args.max_depth < 1:
+        raise PolicyError(f"--max-depth must be at least 1, got {args.max_depth}")
+    return args.max_depth
 
 
 def _resolve(policy: PolicyHypergraph, kind: VertexKind, name: str) -> int:
@@ -92,7 +98,7 @@ def _cmd_check(args) -> int:
         _resolve(policy, VertexKind.RESOURCE, args.resource),
         _ctx_from_args(args),
     )
-    decision = check_privilege(policy, q, args.max_depth)
+    decision = check_privilege(policy, q, _max_depth_from_args(args))
     if decision.allowed:
         print(f"ALLOW ({decision.traversal_ops} ops): {decision.witness.render(policy)}")
         return 0
@@ -103,24 +109,49 @@ def _cmd_check(args) -> int:
 def _cmd_escalations(args) -> int:
     policy = load_policy(args.policy)
     key, sep, value = args.sensitive.partition("=")
-    if not sep:
-        raise PolicyError("--sensitive expects key=value")
-    findings = detect_escalations(policy, (key, value), _ctx_from_args(args), args.max_depth)
+    if not (key and sep and value):
+        raise PolicyError("--sensitive expects key=value with a non-empty key and value")
+    findings = detect_escalations(
+        policy, (key, value), _ctx_from_args(args), _max_depth_from_args(args)
+    )
     sys.stdout.write(findings_to_jsonl(policy, escalations=findings))
     return 1 if findings else 0
 
 
+def _load_intended(policy: PolicyHypergraph, path: str) -> RequiredPermissions:
+    """Per user, the masks of the ground-truth file's (user, op, resource) facts."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise SchemaError("$: ground truth root must be an object")
+    intended = obj.get("intended", [])
+    if not isinstance(intended, list):
+        raise SchemaError("$.intended: must be a list")
+    by_subject: dict[int, dict[int, int]] = {}
+    for i, fact in enumerate(intended):
+        if not (
+            isinstance(fact, list)
+            and len(fact) == 3
+            and type(fact[0]) is int
+            and isinstance(fact[1], str)
+            and type(fact[2]) is int
+        ):
+            raise SchemaError(f"$.intended[{i}]: want [user id, operation, resource id]")
+        user, op, resource = fact
+        required = by_subject.setdefault(user, {})
+        required[resource] = required.get(resource, 0) | policy.universe.bit(op)
+    return RequiredPermissions(by_subject)
+
+
 def _cmd_overprivileged(args) -> int:
     policy = load_policy(args.policy)
-    with open(args.ground_truth, "r", encoding="utf-8") as fh:
-        gt_obj = json.load(fh)
-    by_subject: dict[int, dict[int, int]] = {}
-    for user, op, resource in gt_obj.get("intended", []):
-        mask = policy.universe.bit(op)
-        by_subject.setdefault(user, {})
-        by_subject[user][resource] = by_subject[user].get(resource, 0) | mask
+    required = _load_intended(policy, args.ground_truth)
     findings = detect_over_privileged(
-        policy, RequiredPermissions(by_subject), _ctx_from_args(args), args.max_depth
+        policy, required, _ctx_from_args(args), _max_depth_from_args(args)
     )
     sys.stdout.write(findings_to_jsonl(policy, over_privileged=findings))
     return 1 if findings else 0

@@ -10,6 +10,17 @@ may sit on resource attributes. A grant whose mask is already required on
 its target attribute (or on an attribute above it) leaves no excess on any
 resource below, so it is skipped without expansion. Only the remaining
 grants are expanded to resources, and the excess is reported per resource.
+A subject may inherit a role's requirement; then the role's grants are
+walked and checked once per pass, and each holder re-checks only the
+grants that exceed the role's own requirement.
+
+Cost: the paper states O(n log n) detection. Every pass must read every
+edge, and edges can grow faster than n (as n^1.5 on the sqrt-grouping
+profile), so the honest form of that claim is "linear in policy size"
+(vertices plus edges) when findings are few. The escalation pass ascends
+from each directly held role once per pass; the over-privilege pass is
+linear when users inherit their roles' requirements, as the generator's
+ledger has them do.
 
 Attack window: time-window constraints give every just-in-time grant a
 hard expiry; expired edges can be reported or revoked in one removal each,
@@ -22,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .core import (
     HyperedgeKind,
@@ -39,6 +50,7 @@ from .engine import (
     _ascend,
     _Counter,
     _descend,
+    _grants_at,
     _path_to,
     edge_satisfied,
     effective_permission_map,  # noqa: F401 - perfbench/tracing.py wraps it under this module
@@ -85,9 +97,18 @@ class RequiredPermissions:
     context-satisfied assignment edges downward with no depth limit. So the
     requirement on resource r is the OR of the entry on r and the entries on
     every attribute r ascends to.
+
+    ``inherits`` maps a subject to subjects whose requirement it also has,
+    one level deep: s requires, on every vertex, the OR of its own entries
+    and the requirement of each subject in ``inherits[s]``. Keys and listed
+    subjects must be subjects of ``by_subject``, and a listed subject may
+    not inherit in turn. A user that inherits its roles lets the
+    over-privilege pass check each role's grants once per pass instead of
+    once per holder.
     """
 
     by_subject: dict[VertexId, dict[VertexId, int]]
+    inherits: dict[VertexId, tuple[VertexId, ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -205,16 +226,23 @@ def detect_over_privileged(
     on a's ancestors, and a depth budget only removes resources, so a grant
     on a whose mask those entries cover is skipped. Other grants are
     expanded to the resources below them.
+
+    A subject s that inherits h and holds h through a live direct
+    assignment gets h's grants from one walk of h per pass, one hop shorter,
+    filtered to the grants that exceed h's own requirement: s requires at
+    least what h requires on every vertex, so a grant h's requirement covers
+    is covered for s too. Every other grant (s's own associations, and the
+    walks of heads s holds but does not inherit) is checked against s's
+    requirement directly. When every user inherits the roles it holds, a
+    pass walks each role at most twice (as a subject and as a head), and
+    each user costs its assignments plus the role grants it re-checks, so
+    the pass is linear in policy size when findings are few.
     """
-    # v -> v plus every resource attribute it ascends to, with no depth limit
-    lineages: dict[VertexId, tuple[VertexId, ...]] = {}
-    below_memo: dict = {}
-    findings: list[OverPrivilegeFinding] = []
-    for subject in sorted(ground_truth.by_subject):
+    by_subject, inherits = ground_truth.by_subject, ground_truth.inherits
+    for subject in sorted(by_subject):
         if not policy.has_vertex(subject):
             raise GroundTruthMismatch(f"ground truth names unknown vertex {subject}")
-        required = ground_truth.by_subject[subject]
-        for rid in required:
+        for rid in by_subject[subject]:
             if not policy.has_vertex(rid):
                 raise GroundTruthMismatch(f"ground truth names unknown vertex {rid}")
             kind = policy.vertex(rid).kind
@@ -228,25 +256,83 @@ def detect_over_privileged(
             raise GroundTruthMismatch(
                 f"subject {subject} is a {kind.value}, wants user or user attribute"
             )
-        # v -> OR of the subject's entries on v and on everything v ascends to
+    # every by_subject key is a known user or user attribute by now
+    for subject in sorted(inherits):
+        for v in (subject, *inherits[subject]):
+            if v not in by_subject:
+                raise GroundTruthMismatch(f"inherits names {v}, which is not a subject")
+        for h in inherits[subject]:
+            if inherits.get(h):
+                raise GroundTruthMismatch(f"{subject} inherits {h}, which inherits in turn")
+
+    # v -> v plus every resource attribute it ascends to, with no depth limit
+    lineages: dict[VertexId, tuple[VertexId, ...]] = {}
+
+    def need_of(
+        subject: VertexId, parents: list[Callable[[VertexId], int]]
+    ) -> Callable[[VertexId], int]:
+        """v -> OR of the subject's entries on v and on everything v ascends
+        to, and of each parent's need on v."""
+        required = by_subject[subject]
         required_up: dict[VertexId, int] = {}
 
         def need(v: VertexId) -> int:
             mask = required_up.get(v)
             if mask is None:
-                line = lineages.get(v)
-                if line is None:
-                    line = lineages[v] = tuple(
-                        _ascend(policy, v, ctx, math.inf, _Counter())[0]
-                    )
                 mask = 0
-                for a in line:
-                    mask |= required.get(a, 0)
+                if required:
+                    line = lineages.get(v)
+                    if line is None:
+                        line = lineages[v] = tuple(
+                            _ascend(policy, v, ctx, math.inf, _Counter())[0]
+                        )
+                    for a in line:
+                        mask |= required.get(a, 0)
+                for parent in parents:
+                    mask |= parent(v)
                 required_up[v] = mask
             return mask
 
+        return need
+
+    # kept for the whole pass, since every holder of a head reads its need
+    heads = {h for hs in inherits.values() for h in hs}
+    head_needs = {h: need_of(h, []) for h in heads}
+
+    # inherited head -> its grants one hop up that exceed its own requirement
+    head_grants: dict[VertexId, list[tuple[VertexId, int, int]]] = {}
+
+    def grants_of(subject: VertexId) -> Iterator[tuple[VertexId, int, int]]:
+        if not inherits.get(subject):
+            yield from live_grants(policy, subject, ctx, max_depth)
+            return
+        yield from _grants_at(policy, subject, ctx, max_depth - 1)
+        mine = set(inherits[subject])
+        held = set()
+        for eid, h in policy.assignments_from(subject):
+            edge = policy.edge(eid)
+            if edge.active and edge_satisfied(policy, edge, ctx):
+                held.add(h)
+        for h in held:
+            if h not in mine:
+                yield from live_grants(policy, h, ctx, max_depth - 1)
+                continue
+            if h not in head_grants:
+                need_h = head_needs[h]
+                head_grants[h] = [
+                    g for g in live_grants(policy, h, ctx, max_depth - 1)
+                    if g[2] & ~need_h(g[0])
+                ]
+            yield from head_grants[h]
+
+    below_memo: dict = {}
+    findings: list[OverPrivilegeFinding] = []
+    for subject in sorted(by_subject):
+        need = head_needs.get(subject)
+        if need is None:
+            need = need_of(subject, [head_needs[h] for h in inherits.get(subject, ())])
         excess: dict[VertexId, int] = {}
-        for target, budget, mask in live_grants(policy, subject, ctx, max_depth):
+        for target, budget, mask in grants_of(subject):
             if not mask & ~need(target):
                 continue
             if policy.vertex(target).kind is VertexKind.RESOURCE:

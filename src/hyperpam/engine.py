@@ -434,17 +434,23 @@ def live_grants(
     closure, _ = _ascend(policy, subject, ctx, max_depth, _Counter())
     for v, d in closure.items():
         budget = max_depth - d - 1
-        if budget < 0:
+        if budget >= 0:
+            yield from _grants_at(policy, v, ctx, budget)
+
+
+def _grants_at(
+    policy: PolicyHypergraph, v: VertexId, ctx: EvaluationContext, budget: int
+) -> Iterator[tuple[VertexId, int, int]]:
+    """``live_grants``' yields for the associations at ``v`` alone."""
+    for eid in policy.associations_at(v):
+        edge = policy.edge(eid)
+        if not edge.active or not edge.perm_mask:
             continue
-        for eid in policy.associations_at(v):
-            edge = policy.edge(eid)
-            if not edge.active or not edge.perm_mask:
-                continue
-            if not edge_satisfied(policy, edge, ctx):
-                continue
-            for m in edge.members:
-                if policy.vertex(m).kind in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
-                    yield m, budget, edge.perm_mask
+        if not edge_satisfied(policy, edge, ctx):
+            continue
+        for m in edge.members:
+            if policy.vertex(m).kind in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
+                yield m, budget, edge.perm_mask
 
 
 def effective_permission_map(

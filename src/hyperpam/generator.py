@@ -214,29 +214,26 @@ class GroundTruth:
         return False
 
     def required_permissions(self, ctx: EvaluationContext) -> RequiredPermissions:
-        """Required masks per role and per user, keyed by resource type.
+        """Required masks per role, keyed by resource type; users inherit them.
 
         A role requires, on each type it is granted, the OR of the masks of
-        its grants that ``ctx`` satisfies; a user requires the OR of its
-        roles' entries. Each type entry covers every resource below the type,
-        so the result holds O(grants + user-role pairs) entries.
+        its grants that ``ctx`` satisfies. A user has no entries of its own
+        and inherits the requirement of each of its roles that has grants,
+        so the result holds O(grants + user-role pairs) entries, and the
+        over-privilege pass checks each role's grants once per pass.
         """
         by_subject: dict[VertexId, dict[VertexId, int]] = {}
-        role_masks: dict[VertexId, dict[VertexId, int]] = {}
         for role, grants in self._grants_by_role.items():
             acc: dict[VertexId, int] = {}
             for g in grants:
                 if g.satisfied(ctx):
                     acc[g.type_id] = acc.get(g.type_id, 0) | g.mask
-            role_masks[role] = acc
             by_subject[role] = acc
+        inherits: dict[VertexId, tuple[VertexId, ...]] = {}
         for user, roles in self.user_roles.items():
-            acc = {}
-            for role in roles:
-                for tid, mask in role_masks.get(role, {}).items():
-                    acc[tid] = acc.get(tid, 0) | mask
-            by_subject[user] = acc
-        return RequiredPermissions(by_subject)
+            by_subject[user] = {}
+            inherits[user] = tuple(r for r in roles if r in self._grants_by_role)
+        return RequiredPermissions(by_subject, inherits)
 
     def intended_facts(self, universe_names: tuple[str, ...]) -> Iterator[tuple[int, str, int]]:
         """Materialized (user, op, resource) facts under per-user canonical contexts."""

@@ -180,6 +180,75 @@ def test_undecodable_input_exits_2(tmp_path, capsys, data):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def fixture_ground_truth_path(tmp_path_factory):
+    policy, gt = make_fixture_usecase()
+    path = tmp_path_factory.mktemp("cli") / "fixture-gt.json"
+    path.write_text(gt.dumps(policy.universe.names))
+    return str(path)
+
+
+def test_overprivileged_reports_excess(fixture_policy_path, fixture_ground_truth_path, capsys):
+    code = main(
+        ["overprivileged", "--policy", fixture_policy_path,
+         "--ground-truth", fixture_ground_truth_path, "--at", AT, "--account", "acct-0"]
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1 and lines
+    assert all(json.loads(line)["kind"] == "over_privilege" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"intended": [[1, "Read"]]}',
+        "[]",
+        '{"intended": {}}',
+        '{"intended": [[1, "Read", [2]]]}',
+        '{"intended": [[true, "Read", 2]]}',
+    ],
+    ids=["not-json", "short-fact", "list-root", "intended-object", "list-id", "bool-id"],
+)
+def test_overprivileged_malformed_ground_truth_exits_2(
+    fixture_policy_path, tmp_path, capsys, text
+):
+    path = tmp_path / "gt.json"
+    path.write_text(text)
+    code = main(
+        ["overprivileged", "--policy", fixture_policy_path, "--ground-truth", str(path),
+         "--at", AT]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--user", "Alice", "--op", "Read", "--resource", "ProductionDB",
+         "--max-depth", "0"],
+        ["escalations", "--max-depth", "-3"],
+        ["escalations", "--max-depth", "0"],
+        ["escalations", "--sensitive", "=x"],
+        ["escalations", "--sensitive", "env="],
+        ["escalations", "--sensitive", "env"],
+        ["overprivileged", "--ground-truth", "GT", "--max-depth", "0"],
+        ["overprivileged", "--ground-truth", "GT", "--max-depth", "-3"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_bad_depth_or_sensitive_tag_exits_2(
+    fixture_policy_path, fixture_ground_truth_path, capsys, argv
+):
+    argv = [fixture_ground_truth_path if a == "GT" else a for a in argv]
+    code = main(argv[:1] + ["--policy", fixture_policy_path, "--at", AT] + argv[1:])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--user", "Alice"])  # missing required flags

@@ -7,6 +7,8 @@ from datetime import timedelta
 import pytest
 
 import hyperpam.detect as detect_mod
+import hyperpam.engine as engine_mod
+from hyperpam.bench import fit_power_law
 from hyperpam.core import PolicyHypergraph, TimeWindow, VertexKind
 from hyperpam.detect import (
     RequiredPermissions,
@@ -22,6 +24,7 @@ from hyperpam.generator import (
     EPOCH,
     EVAL_TS,
     GenConfig,
+    config_for_scale,
     generate,
     make_fixture_usecase,
 )
@@ -147,6 +150,48 @@ def test_over_privilege_no_finding_when_granted_equals_required(monkeypatch):
     findings = detect_over_privileged(policy, gt.required_permissions(CTX), CTX)
     assert findings == []
     assert expanded == []
+
+
+def _count_pass_work(monkeypatch) -> dict:
+    """Count constraint checks and grants yielded inside detect_over_privileged."""
+    counts = {"edge_satisfied": 0, "grants": 0}
+    real_satisfied = engine_mod.edge_satisfied
+    real_live_grants = detect_mod.live_grants
+
+    def satisfied(policy, edge, ctx):
+        counts["edge_satisfied"] += 1
+        return real_satisfied(policy, edge, ctx)
+
+    def live_grants(*args):
+        for grant in real_live_grants(*args):
+            counts["grants"] += 1
+            yield grant
+
+    monkeypatch.setattr(engine_mod, "edge_satisfied", satisfied)
+    monkeypatch.setattr(detect_mod, "edge_satisfied", satisfied)
+    monkeypatch.setattr(detect_mod, "live_grants", live_grants)
+    return counts
+
+
+def test_over_privilege_work_is_linear_in_policy_size(monkeypatch):
+    # sqrt-grouping: every user holds about sqrt(n)/4 of sqrt(n) roles, each
+    # granted on every resource group, so edges grow as n^1.5 and a pass that
+    # walks each role once per holder grows as n^2
+    counts = _count_pass_work(monkeypatch)
+    points = {"edge_satisfied": [], "grants": []}
+    for n in (500, 1000, 2000, 4000):
+        policy, gt = generate(config_for_scale(n, seed=1234, profile="sqrt-grouping"))
+        ctx = gt.context_for(0)
+        required = gt.required_permissions(ctx)
+        for key in counts:
+            counts[key] = 0
+        assert detect_over_privileged(policy, required, ctx) == []
+        size = policy.vertex_count + policy.edge_count
+        for key, count in counts.items():
+            points[key].append((size, count))
+    for key, pts in points.items():
+        fit = fit_power_law(pts)
+        assert fit.b <= 1.1, (key, pts, fit)
 
 
 def test_over_privilege_unknown_subject_rejected():

@@ -195,6 +195,39 @@ def test_random_policies_match_resource_granular_pass(seed):
     required = RequiredPermissions(by_subject)
     for depth in (2, 3, DEFAULT_MAX_DEPTH):
         _assert_same(policy, required, required_through_graph(policy, required, ctx), ctx, depth)
+    inherited = RequiredPermissions(by_subject, _random_inherits(rng, policy, subjects))
+    flat = required_through_graph(policy, flattened(inherited), ctx)
+    for depth in (2, 3, DEFAULT_MAX_DEPTH):
+        _assert_same(policy, inherited, flat, ctx, depth)
+
+
+def flattened(required: RequiredPermissions) -> RequiredPermissions:
+    """Each subject's entries OR-ed with those of every subject it inherits."""
+    by_subject = {}
+    for subject, entries in required.by_subject.items():
+        acc = dict(entries)
+        for head in required.inherits.get(subject, ()):
+            for key, mask in required.by_subject[head].items():
+                acc[key] = acc.get(key, 0) | mask
+        by_subject[subject] = acc
+    return RequiredPermissions(by_subject)
+
+
+def _random_inherits(rng: Rng, policy: PolicyHypergraph, subjects: list) -> dict:
+    """One-level inheritance: about half the subjects are heads; most others
+    list heads they are assigned to (live or not) and heads they are not,
+    user attributes and users alike."""
+    heads = [s for s in subjects if rng.random() < 0.5]
+    inherits = {}
+    for s in subjects:
+        if s in heads or rng.random() < 0.25:
+            continue
+        held = [h for _, h in policy.assignments_from(s) if h in heads]
+        others = [h for h in heads if h not in held]
+        picks = rng.sample(held, rng.randint(0, len(held)))
+        picks += rng.sample(others, rng.randint(0, min(2, len(others))))
+        inherits[s] = tuple(picks)
+    return inherits
 
 
 CTX = EvaluationContext(EVAL_TS, "acct-a")
@@ -227,10 +260,11 @@ class _Case:
     def mask(self, *perms):
         return self.p.universe.mask_of(perms)
 
-    def excess(self, required, max_depth=DEFAULT_MAX_DEPTH, ctx=CTX):
+    def excess(self, required, max_depth=DEFAULT_MAX_DEPTH, ctx=CTX, inherits=None):
         """Check against the reference; return {subject name: {resource name: ops}}."""
-        req = RequiredPermissions(required)
-        _assert_same(self.p, req, required_through_graph(self.p, req, ctx), ctx, max_depth)
+        req = RequiredPermissions(required, inherits or {})
+        flat = required_through_graph(self.p, flattened(req), ctx)
+        _assert_same(self.p, req, flat, ctx, max_depth)
         vertex = self.p.vertex
         return {
             vertex(f.subject).name: {vertex(r).name: p.names() for r, p in f.excess.items()}
@@ -329,3 +363,103 @@ def test_required_keys_must_be_resources_or_resource_attributes():
         detect_over_privileged(c.p, RequiredPermissions({c.u: {c.ua: 1}}), CTX)
     with pytest.raises(GroundTruthMismatch):
         detect_over_privileged(c.p, RequiredPermissions({c.u: {10_000_000: 1}}), CTX)
+
+
+def test_inherited_head_held_through_a_dead_assignment_grants_nothing():
+    c = _Case()
+    a = c.ra("a")
+    c.r("r", a)
+    c.grant([a], ["Read", "Write"])
+    lapsed = c.p.add_vertex(VertexKind.USER, "lapsed", "acct-a")
+    c.p.add_raw_hyperedge(
+        HyperedgeKind.ASSIGNMENT, (lapsed, c.ua), (),
+        [TimeWindow(EPOCH, EPOCH + timedelta(days=1))],
+    )
+    off = c.p.add_vertex(VertexKind.USER, "off", "acct-a")
+    c.p.set_active(c.p.add_assignment(off, c.ua), False)
+    required = {c.ua: {a: c.mask("Read")}, c.u: {}, lapsed: {}, off: {}}
+    inherits = {c.u: (c.ua,), lapsed: (c.ua,), off: (c.ua,)}
+    assert c.excess(required, inherits=inherits) == {
+        "ua": {"r": ("Write",)},
+        "u": {"r": ("Write",)},
+    }
+    # the holder's own requirement still counts against the inherited grants
+    required[c.u] = {a: c.mask("Write")}
+    assert c.excess(required, inherits=inherits) == {"ua": {"r": ("Write",)}}
+
+
+def test_holder_checks_its_own_and_uninherited_grants():
+    c = _Case()
+    other = c.p.add_vertex(VertexKind.USER_ATTR, "other", "acct-a")
+    c.p.add_assignment(c.u, other)
+    a = c.ra("a")
+    c.r("r", a)
+    c.grant([a], ["Read"])
+    c.grant([a], ["Write"], role=other)
+    c.p.add_association([c.ua, c.u], [a], c.pc, ["Delete"])
+    required = {c.ua: {a: c.mask("Read", "Delete")}, other: {a: c.mask("Write")}, c.u: {}}
+    assert c.excess(required, inherits={c.u: (c.ua,)}) == {"u": {"r": ("Write",)}}
+    assert c.excess(required, inherits={c.u: (c.ua, other)}) == {}
+    assert c.excess(required, inherits={c.u: (other,)}) == {"u": {"r": ("Read", "Delete")}}
+    # u -> a -> r is two edges; u -> ua -> a -> r is three
+    assert c.excess(required, max_depth=2, inherits={c.u: (other,)}) == {"u": {"r": ("Delete",)}}
+    assert c.excess(required, max_depth=1, inherits={c.u: (other,)}) == {}
+
+
+def _mismatch(c: _Case, by_subject, inherits):
+    with pytest.raises(GroundTruthMismatch):
+        detect_over_privileged(c.p, RequiredPermissions(by_subject, inherits), CTX)
+
+
+def test_inherits_must_name_subjects_that_do_not_inherit():
+    c = _Case()
+    a = c.ra("a")
+    upper = c.p.add_vertex(VertexKind.USER_ATTR, "upper", "acct-a")
+    both = {c.u: {}, c.ua: {}, upper: {}}
+    _mismatch(c, both, {10_000_000: (c.ua,)})  # unknown key
+    _mismatch(c, {**both, a: {}}, {a: (c.ua,)})  # key is no user or user attribute
+    _mismatch(c, {**both, a: {}}, {})  # the same, as a subject
+    _mismatch(c, {c.ua: {}}, {c.u: (c.ua,)})  # key has no requirement
+    _mismatch(c, both, {c.u: (10_000_000,)})  # unknown value
+    _mismatch(c, both, {c.u: (a,)})  # value is no user or user attribute
+    _mismatch(c, {c.u: {}}, {c.u: (c.ua,)})  # value has no requirement
+    _mismatch(c, both, {c.u: (c.ua,), c.ua: (upper,)})  # value inherits in turn
+    _mismatch(c, both, {c.u: (c.u,)})  # a subject inheriting itself
+    detect_over_privileged(c.p, RequiredPermissions(both, {c.u: (c.ua, upper)}), CTX)
+
+
+def materialized_required_permissions(gt, ctx: EvaluationContext) -> RequiredPermissions:
+    """The ledger's requirement with each user's roles OR-ed into its own entries."""
+    by_subject: dict[VertexId, dict[VertexId, int]] = {}
+    role_masks: dict[VertexId, dict[VertexId, int]] = {}
+    for role, grants in gt._grants_by_role.items():
+        acc: dict[VertexId, int] = {}
+        for g in grants:
+            if g.satisfied(ctx):
+                acc[g.type_id] = acc.get(g.type_id, 0) | g.mask
+        role_masks[role] = acc
+        by_subject[role] = acc
+    for user, roles in gt.user_roles.items():
+        acc = {}
+        for role in roles:
+            for tid, mask in role_masks.get(role, {}).items():
+                acc[tid] = acc.get(tid, 0) | mask
+        by_subject[user] = acc
+    return RequiredPermissions(by_subject)
+
+
+@pytest.mark.parametrize(
+    "profile,n,seed",
+    [("standard", 300, 1), ("standard", 500, 1234), ("sqrt-grouping", 300, 7)],
+)
+def test_ledger_requirement_flattens_to_the_materialized_one(profile, n, seed):
+    policy, gt = generate(config_for_scale(n, seed=seed, profile=profile))
+    for ledger in (gt, _thinned(gt, 7)):
+        for user in (0, max(gt.user_roles)):
+            for ctx in (gt.context_for(user), EvaluationContext(EPOCH, "")):
+                required = ledger.required_permissions(ctx)
+                assert all(not required.by_subject[u] for u in gt.user_roles)
+                assert flattened(required) == materialized_required_permissions(ledger, ctx)
+    policy, gt = make_fixture_usecase()
+    ctx = gt.context_for(0)
+    assert flattened(gt.required_permissions(ctx)) == materialized_required_permissions(gt, ctx)
