@@ -34,7 +34,7 @@ from .engine import (  # noqa: F401 - perfbench/tracing.py wraps it under this m
 from .errors import ConfigInvalid, DegenerateInput, GroundTruthMismatch
 from .generator import GenConfig, GroundTruth, config_for_scale, generate
 from .rng import Rng
-from .serialize import dumps_policy
+from .serialize import dumps_policy, write_atomic
 
 WORKLOAD_MODES = ("per_user", "all_pairs_sampled")
 # fixed operation mix for generated workloads
@@ -288,8 +288,7 @@ def emit_csv(records: Sequence[BenchRecord], path: str) -> None:
             f"{r.model},{r.n},{seed_field},{r.build_time_s:.9f},"
             f"{r.detect_time_s:.9f},{r.traversal_ops},{r.graph_size},{r.fp_rate:.6f}"
         )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str) -> list[dict[str, str]]:
@@ -361,5 +360,4 @@ def emit_report(
                 f"| {m} | {r.detect_time_s:.6f} | {r.traversal_ops} | "
                 f"{r.graph_size} | {r.fp_rate:.3f} |"
             )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")

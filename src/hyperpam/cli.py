@@ -30,7 +30,7 @@ from .engine import (
 from .errors import ParseError, PolicyError, SchemaError
 from .generator import GenConfig, generate
 from .ingest import parse_iam, to_hypergraph
-from .serialize import load_policy, parse_rfc3339, save_policy
+from .serialize import load_policy, parse_rfc3339, save_policy, write_atomic
 
 
 def _at_from_args(args) -> datetime:
@@ -69,8 +69,7 @@ def _cmd_generate(args) -> int:
     policy, gt = generate(cfg)
     save_policy(policy, args.out)
     if args.ground_truth:
-        with open(args.ground_truth, "w", encoding="utf-8") as fh:
-            fh.write(gt.dumps(policy.universe.names))
+        write_atomic(args.ground_truth, gt.dumps(policy.universe.names))
     print(
         f"wrote {policy.vertex_count} vertices / {policy.edge_count} hyperedges "
         f"to {args.out}"

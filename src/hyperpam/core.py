@@ -64,6 +64,9 @@ ASSIGNMENT_PAIRS = frozenset(
         (VertexKind.RESOURCE_ATTR, VertexKind.RESOURCE_ATTR),
     }
 )
+# The same pairs by kind value, for validate's hot loop: a str hash is cached,
+# while every Enum hash is a Python-level call.
+_ASSIGNMENT_VALUE_PAIRS = frozenset((a._value_, b._value_) for a, b in ASSIGNMENT_PAIRS)
 
 
 class HyperedgeKind(Enum):
@@ -250,21 +253,32 @@ class PolicyHypergraph:
     # hyperedges
     # ------------------------------------------------------------------
     def _new_edge(self, edge: Hyperedge) -> HyperedgeId:
-        self._edges[edge.id] = edge
-        for vid in set(edge.members):
-            self._incidence[vid].add(edge.id)
-        if edge.kind is HyperedgeKind.ASSIGNMENT:
-            touched = [self._assign_out[edge.tail], self._assign_in[edge.head]]
-            touched[0][edge.id] = edge.head
-            touched[1][edge.id] = edge.tail
+        eid, members = edge.id, edge.members
+        self._edges[eid] = edge
+        if edge.kind is HyperedgeKind.ASSIGNMENT and len(members) == 2:
+            tail, head = members
+            self._incidence[tail].add(eid)
+            self._incidence[head].add(eid)
+            out, into = self._assign_out[tail], self._assign_in[head]
+            out[eid] = head
+            into[eid] = tail
+            touched = (out, into)
         else:
-            touched = [self._assoc_incidence[vid] for vid in set(edge.members)]
-            for ids in touched:
-                ids[edge.id] = None
-        if edge.id + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
+            distinct = set(members)
+            for vid in distinct:
+                self._incidence[vid].add(eid)
+            if edge.kind is HyperedgeKind.ASSIGNMENT:  # malformed: not two members
+                touched = (self._assign_out[edge.tail], self._assign_in[edge.head])
+                touched[0][eid] = edge.head
+                touched[1][eid] = edge.tail
+            else:
+                touched = [self._assoc_incidence[vid] for vid in distinct]
+                for ids in touched:
+                    ids[eid] = None
+        if eid + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
             for adj in touched:
                 _sort_by_id(adj)
-        return edge.id
+        return eid
 
     def _require_vertices(self, ids: Iterable[VertexId]) -> None:
         for vid in ids:
@@ -343,11 +357,15 @@ class PolicyHypergraph:
         """
         members = tuple(members)
         self._require_vertices(members)
-        mask = perms.mask if isinstance(perms, PermissionSet) else self.universe.mask_of(perms)
+        if isinstance(perms, PermissionSet):
+            mask = perms.mask
+        else:
+            mask = self.universe.mask_of(perms) if perms else 0
         eid = self._next_edge_id if _id is None else _id
         if eid in self._edges:
             raise DuplicateName(f"hyperedge id {eid} already in use")
-        self._next_edge_id = max(self._next_edge_id, eid + 1)
+        if eid >= self._next_edge_id:
+            self._next_edge_id = eid + 1
         return self._new_edge(
             Hyperedge(eid, kind, members, mask, tuple(constraints), active)
         )
@@ -416,93 +434,128 @@ class PolicyHypergraph:
     def validate(self) -> list[Violation]:
         """Check every structural invariant; an empty list means well-formed."""
         out: list[Violation] = []
-
+        vertices, incidence = self._vertices, self._incidence
+        # The index is exact iff it holds every (member, edge) pair and has
+        # no more entries than there are pairs. Only when it is not does
+        # _incidence_violations scan it both ways to say what is wrong.
+        pairs = 0
+        indexed = True
         for eid, edge in self._edges.items():
-            subject = f"edge:{eid}"
-            missing = [v for v in edge.members if v not in self._vertices]
-            if missing:
-                out.append(
-                    Violation("DanglingMember", subject, f"unknown vertices {missing}")
-                )
-                continue
-            kinds = [self._vertices[v].kind for v in edge.members]
-            if edge.kind is HyperedgeKind.ASSIGNMENT:
-                if len(edge.members) != 2:
-                    out.append(
-                        Violation(
-                            "BadAssignmentShape",
-                            subject,
-                            f"assignment has {len(edge.members)} members, wants 2",
-                        )
-                    )
+            members = edge.members
+            # a plain assignment (most edges) needs only this one test
+            if (
+                edge.kind is HyperedgeKind.ASSIGNMENT
+                and len(members) == 2
+                and not edge.perm_mask
+                and not edge.constraints
+            ):
+                tail, head = members
+                from_v, to_v = vertices.get(tail), vertices.get(head)
+                if (
+                    from_v is not None
+                    and to_v is not None
+                    and tail != head
+                    and (from_v.kind._value_, to_v.kind._value_) in _ASSIGNMENT_VALUE_PAIRS
+                ):
+                    pairs += 2
+                    indexed = indexed and eid in incidence[tail] and eid in incidence[head]
                     continue
-                if edge.members[0] == edge.members[1]:
-                    out.append(
-                        Violation("SelfAssignment", subject, "links a vertex to itself")
-                    )
-                if (kinds[0], kinds[1]) not in ASSIGNMENT_PAIRS:
-                    out.append(
-                        Violation(
-                            "IllegalKindPair",
-                            subject,
-                            f"{kinds[0].value} -> {kinds[1].value}",
-                        )
-                    )
-                if edge.perm_mask != 0:
-                    out.append(
-                        Violation(
-                            "AssignmentHasPermissions",
-                            subject,
-                            "assignments carry no permission label",
-                        )
-                    )
-            else:
-                pcs = [k for k in kinds if k is VertexKind.POLICY_CLASS]
-                if len(pcs) == 0:
-                    out.append(
-                        Violation("MissingPolicyClass", subject, "no policy class member")
-                    )
-                elif len(pcs) > 1:
-                    out.append(
-                        Violation(
-                            "TooManyPolicyClasses",
-                            subject,
-                            f"{len(pcs)} policy class members, wants exactly 1",
-                        )
-                    )
-                if VertexKind.USER_ATTR not in kinds:
-                    out.append(
-                        Violation(
-                            "MissingUserAttribute", subject, "no user attribute member"
-                        )
-                    )
-                if VertexKind.RESOURCE_ATTR not in kinds:
-                    out.append(
-                        Violation(
-                            "MissingResourceAttribute",
-                            subject,
-                            "no resource attribute member",
-                        )
-                    )
-                if edge.perm_mask == 0:
-                    out.append(
-                        Violation("EmptyPermissions", subject, "association grants nothing")
-                    )
-            if edge.perm_mask & ~self.universe.full_mask:
+            self._edge_violations(eid, edge, out)
+            for vid in set(members):
+                if vid in vertices:
+                    pairs += 1
+                    indexed = indexed and eid in incidence[vid]
+        if not indexed or pairs != sum(map(len, incidence.values())):
+            self._incidence_violations(out)
+        return out
+
+    def _edge_violations(self, eid: HyperedgeId, edge: Hyperedge, out: list[Violation]) -> None:
+        subject = f"edge:{eid}"
+        missing = [v for v in edge.members if v not in self._vertices]
+        if missing:
+            out.append(
+                Violation("DanglingMember", subject, f"unknown vertices {missing}")
+            )
+            return
+        kinds = [self._vertices[v].kind for v in edge.members]
+        if edge.kind is HyperedgeKind.ASSIGNMENT:
+            if len(edge.members) != 2:
                 out.append(
                     Violation(
-                        "UnknownPermissionBits",
+                        "BadAssignmentShape",
                         subject,
-                        "permission mask outside the declared universe",
+                        f"assignment has {len(edge.members)} members, wants 2",
                     )
                 )
-            for c in edge.constraints:
-                if isinstance(c, TimeWindow) and not c.start < c.end:
-                    out.append(
-                        Violation("BadTimeWindow", subject, "start must precede end")
+                return
+            if edge.members[0] == edge.members[1]:
+                out.append(
+                    Violation("SelfAssignment", subject, "links a vertex to itself")
+                )
+            if (kinds[0], kinds[1]) not in ASSIGNMENT_PAIRS:
+                out.append(
+                    Violation(
+                        "IllegalKindPair",
+                        subject,
+                        f"{kinds[0].value} -> {kinds[1].value}",
                     )
+                )
+            if edge.perm_mask != 0:
+                out.append(
+                    Violation(
+                        "AssignmentHasPermissions",
+                        subject,
+                        "assignments carry no permission label",
+                    )
+                )
+        else:
+            pcs = [k for k in kinds if k is VertexKind.POLICY_CLASS]
+            if len(pcs) == 0:
+                out.append(
+                    Violation("MissingPolicyClass", subject, "no policy class member")
+                )
+            elif len(pcs) > 1:
+                out.append(
+                    Violation(
+                        "TooManyPolicyClasses",
+                        subject,
+                        f"{len(pcs)} policy class members, wants exactly 1",
+                    )
+                )
+            if VertexKind.USER_ATTR not in kinds:
+                out.append(
+                    Violation(
+                        "MissingUserAttribute", subject, "no user attribute member"
+                    )
+                )
+            if VertexKind.RESOURCE_ATTR not in kinds:
+                out.append(
+                    Violation(
+                        "MissingResourceAttribute",
+                        subject,
+                        "no resource attribute member",
+                    )
+                )
+            if edge.perm_mask == 0:
+                out.append(
+                    Violation("EmptyPermissions", subject, "association grants nothing")
+                )
+        if edge.perm_mask & ~self.universe.full_mask:
+            out.append(
+                Violation(
+                    "UnknownPermissionBits",
+                    subject,
+                    "permission mask outside the declared universe",
+                )
+            )
+        for c in edge.constraints:
+            if isinstance(c, TimeWindow) and not c.start < c.end:
+                out.append(
+                    Violation("BadTimeWindow", subject, "start must precede end")
+                )
 
-        # incidence exactness, both directions
+    def _incidence_violations(self, out: list[Violation]) -> None:
+        """Report incidence entries that are wrong or missing, scanning both ways."""
         for vid, ids in self._incidence.items():
             for eid in ids:
                 edge = self._edges.get(eid)
@@ -524,4 +577,3 @@ class PolicyHypergraph:
                             f"member of edge {eid} but incidence entry is missing",
                         )
                     )
-        return out

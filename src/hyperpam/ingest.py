@@ -12,6 +12,7 @@ corrupt every downstream detection.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -188,11 +189,20 @@ def parse_iam(data: bytes | str) -> IamDocument:
     return IamDocument(users, roles, tuple(policies), resources)
 
 
-def _match_pattern(pattern: str, name: str) -> bool:
-    # exact names or a trailing-star prefix; nothing fancier
-    if pattern.endswith("*"):
-        return name.startswith(pattern[:-1])
-    return name == pattern
+def _matching(pattern: str, names: list[str], declared: dict[str, int]) -> list[str]:
+    """The declared resource names that ``pattern`` matches.
+
+    A pattern is an exact name or a prefix with one trailing ``*``; nothing
+    fancier. ``names`` holds the keys of ``declared`` in sorted order, where
+    the names with a given prefix form one contiguous run.
+    """
+    if not pattern.endswith("*"):
+        return [pattern] if pattern in declared else []
+    prefix = pattern[:-1]
+    start = end = bisect_left(names, prefix)
+    while end < len(names) and names[end].startswith(prefix):
+        end += 1
+    return names[start:end]
 
 
 def map_action(action: str, universe) -> str:
@@ -245,6 +255,7 @@ def to_hypergraph(doc: IamDocument) -> PolicyHypergraph:
                     f"role {r.name!r} trusts unknown principal {principal!r}"
                 )
 
+    names = sorted(resources)
     pcs: dict[str, int] = {}
     for entry in doc.policies:
         if entry.role not in roles:
@@ -256,7 +267,7 @@ def to_hypergraph(doc: IamDocument) -> PolicyHypergraph:
         perms = sorted({map_action(a, policy.universe) for a in entry.actions})
         matched_types: set[str] = set()
         for pattern in entry.resources:
-            hits = [name for name in resources if _match_pattern(pattern, name)]
+            hits = _matching(pattern, names, resources)
             if not hits:
                 raise UnresolvedReference(
                     f"policy for role {entry.role!r}: pattern {pattern!r} "

@@ -13,13 +13,28 @@ edge kinds as assignment|association. Assignment member arrays are ordered
 RFC 3339 timestamps. Output field order and entity order (by id) are fixed so
 equal policies serialize to identical bytes. Loading validates the document
 and raises SchemaError on any structural violation.
+
+What a load costs: a standard n=4000 policy (6,416 vertices, 16,549
+hyperedges, 2.4 MB) loads in about 0.2 s with CPython 3.11 on a 2-vCPU box.
+About a fifth of that is JSON decoding, an eighth is validate(), and the rest
+is building the vertex, edge and index objects. The load allocates ~100k
+containers and creates no reference cycles, so the cyclic garbage collector
+is paused for it. Left on, it ran ~250 young, 23 middle and 2 full
+collections per load that found nothing to free, at 0.06 s per load, or
+0.11 s while a generated ground-truth ledger is alive, since a full
+collection scans every live container. Each entry passes exact type tests on
+its fields at a glance; only an entry that fails them is checked field by
+field, which raises the same message the full check always gives.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import secrets
+import stat
+from contextlib import contextmanager
 from datetime import datetime
 from operator import itemgetter
 from typing import Any
@@ -127,54 +142,122 @@ def _expect(obj: Any, key: str, types, where: str):
     return value
 
 
+_VERTEX_FIELDS = itemgetter("id", "kind", "name", "account", "tags")
+_EDGE_FIELDS = itemgetter("id", "kind", "members", "permissions", "constraints", "active")
+
+
+def _vertex_entry(vobj: Any, where: str, kinds: dict) -> tuple:
+    """Check a vertex entry field by field and raise on its first fault.
+
+    The loader's fast path calls this only for an entry it could not accept
+    at a glance, so the message is the same one a full check would give.
+    """
+    vid = _expect(vobj, "id", int, where)
+    kind_s = _expect(vobj, "kind", str, where)
+    if kind_s not in kinds:
+        raise SchemaError(f"{where}.kind: unknown vertex kind {kind_s!r}")
+    name = _expect(vobj, "name", str, where)
+    account = _expect(vobj, "account", str, where)
+    tags = _expect(vobj, "tags", dict, where)
+    if not all(isinstance(k, str) and isinstance(t, str) for k, t in tags.items()):
+        raise SchemaError(f"{where}.tags: keys and values must be strings")
+    return vid, kind_s, name, account, tags
+
+
+def _edge_entry(eobj: Any, where: str, kinds: dict) -> tuple:
+    """The hyperedge counterpart of ``_vertex_entry``."""
+    eid = _expect(eobj, "id", int, where)
+    kind_s = _expect(eobj, "kind", str, where)
+    if kind_s not in kinds:
+        raise SchemaError(f"{where}.kind: unknown hyperedge kind {kind_s!r}")
+    members = _expect(eobj, "members", list, where)
+    if not all(type(m) is int for m in members):
+        raise SchemaError(f"{where}.members: entries must be vertex ids")
+    perms = _expect(eobj, "permissions", list, where)
+    constraints = _constraints(_expect(eobj, "constraints", list, where), where)
+    active = _expect(eobj, "active", bool, where)
+    return eid, kind_s, members, perms, constraints, active
+
+
+def _constraints(objs: list, where: str) -> list:
+    return [constraint_from_obj(c, f"{where}.constraints[{j}]") for j, c in enumerate(objs)]
+
+
+@contextmanager
+def _collector_paused():
+    """Switch the cyclic garbage collector off, then back to how it was."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def policy_from_obj(obj: Any) -> PolicyHypergraph:
     universe = _expect(obj, "permission_universe", list, "$")
     if not all(isinstance(p, str) for p in universe):
         raise SchemaError("$.permission_universe: entries must be strings")
     policy = PolicyHypergraph(universe)
 
+    # An entry whose fields all pass exact type tests is taken as it is. Any
+    # other goes through _vertex_entry/_edge_entry, which raise the message
+    # of its first fault (or accept it, e.g. a dict subclass).
     kind_by_value = {k.value: k for k in VertexKind if k is not VertexKind.PERMISSION}
     for i, vobj in enumerate(_expect(obj, "vertices", list, "$")):
-        where = f"$.vertices[{i}]"
-        vid = _expect(vobj, "id", int, where)
-        kind_s = _expect(vobj, "kind", str, where)
-        if kind_s not in kind_by_value:
-            raise SchemaError(f"{where}.kind: unknown vertex kind {kind_s!r}")
-        name = _expect(vobj, "name", str, where)
-        account = _expect(vobj, "account", str, where)
-        tags = _expect(vobj, "tags", dict, where)
-        if not all(isinstance(k, str) and isinstance(t, str) for k, t in tags.items()):
-            raise SchemaError(f"{where}.tags: keys and values must be strings")
+        try:  # TypeError: not an object; KeyError: a field is missing
+            vid, kind_s, name, account, tags = _VERTEX_FIELDS(vobj) if type(vobj) is dict else None
+        except (TypeError, KeyError):
+            vid = None
+        if not (
+            type(vid) is int
+            and type(kind_s) is str
+            and kind_s in kind_by_value
+            and type(name) is str
+            and type(account) is str
+            and type(tags) is dict
+            and (not tags or all(type(k) is str and type(t) is str for k, t in tags.items()))
+        ):
+            vid, kind_s, name, account, tags = _vertex_entry(vobj, f"$.vertices[{i}]", kind_by_value)
         try:
             policy.add_vertex(kind_by_value[kind_s], name, account, tags, _id=vid)
         except Exception as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+            raise SchemaError(f"$.vertices[{i}]: {exc}") from None
 
     edge_kinds = {k.value: k for k in HyperedgeKind}
     edges = []
     for i, eobj in enumerate(_expect(obj, "hyperedges", list, "$")):
-        where = f"$.hyperedges[{i}]"
-        eid = _expect(eobj, "id", int, where)
-        kind_s = _expect(eobj, "kind", str, where)
-        if kind_s not in edge_kinds:
-            raise SchemaError(f"{where}.kind: unknown hyperedge kind {kind_s!r}")
-        members = _expect(eobj, "members", list, where)
-        if not all(type(m) is int for m in members):
-            raise SchemaError(f"{where}.members: entries must be vertex ids")
-        perms = _expect(eobj, "permissions", list, where)
-        constraints = [
-            constraint_from_obj(c, f"{where}.constraints[{j}]")
-            for j, c in enumerate(_expect(eobj, "constraints", list, where))
-        ]
-        active = _expect(eobj, "active", bool, where)
-        edges.append((eid, where, edge_kinds[kind_s], members, perms, constraints, active))
+        try:  # TypeError: not an object; KeyError: a field is missing
+            eid, kind_s, members, perms, constraints, active = (
+                _EDGE_FIELDS(eobj) if type(eobj) is dict else None
+            )
+        except (TypeError, KeyError):
+            eid = None
+        if (
+            type(eid) is int
+            and type(kind_s) is str
+            and kind_s in edge_kinds
+            and type(members) is list
+            and all(type(m) is int for m in members)
+            and type(perms) is list
+            and type(constraints) is list
+            and type(active) is bool
+        ):
+            if constraints:
+                constraints = _constraints(constraints, f"$.hyperedges[{i}]")
+        else:
+            eid, kind_s, members, perms, constraints, active = _edge_entry(
+                eobj, f"$.hyperedges[{i}]", edge_kinds
+            )
+        edges.append((eid, i, edge_kinds[kind_s], members, perms, constraints, active))
     # in id order, so no adjacency insert has to re-sort (see core._new_edge)
     edges.sort(key=itemgetter(0))
-    for eid, where, kind, members, perms, constraints, active in edges:
+    for eid, i, kind, members, perms, constraints, active in edges:
         try:
             policy.add_raw_hyperedge(kind, members, perms, constraints, active, _id=eid)
         except Exception as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+            raise SchemaError(f"$.hyperedges[{i}]: {exc}") from None
 
     violations = policy.validate()
     if violations:
@@ -186,33 +269,51 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
 
 
 def loads_policy(text: str | bytes) -> PolicyHypergraph:
+    """Decode and build a policy with the cyclic collector paused (see above)."""
+    with _collector_paused():
+        # the decoded tree is freed as soon as the build returns, so the
+        # first collection after the pause does not have to scan it
+        return policy_from_obj(_decode(text))
+
+
+def _decode(text: str | bytes) -> Any:
     try:
-        obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    return policy_from_obj(obj)
 
 
-def save_policy(policy: PolicyHypergraph, path: str) -> None:
-    """Write the policy to ``path`` atomically.
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, atomically.
 
-    The document goes to a new file in the same directory, which then
-    replaces ``path`` in one rename, so a failed write leaves any previous
-    file at ``path`` intact.
+    The text goes to a new file in the same directory, which is fsynced and
+    then replaces ``path`` in one rename, so a failed write leaves any
+    previous file at ``path`` intact and no temporary file behind.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
+    try:  # a replaced file keeps its permission bits, as one rewritten in place would
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     # O_EXCL never reuses a stray file; mode 0o666 lets the umask decide
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        if mode is not None:
+            os.fchmod(fd, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(dumps_policy(policy))
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def save_policy(policy: PolicyHypergraph, path: str) -> None:
+    """Write the policy to ``path`` atomically (see ``write_atomic``)."""
+    write_atomic(path, dumps_policy(policy))
 
 
 def load_policy(path: str) -> PolicyHypergraph:

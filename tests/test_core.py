@@ -2,26 +2,35 @@
 
 from __future__ import annotations
 
+import gc
+import json
+import os
 from datetime import timedelta
 
 import pytest
 
+import hyperpam.serialize as serialize_mod
+from hyperpam.bench import BenchRecord, RegressionFit, emit_csv, emit_report
+from hyperpam.cli import main as cli_main
 from hyperpam.core import (
+    ASSIGNMENT_PAIRS,
     HyperedgeKind,
     PolicyHypergraph,
     SameAccount,
     TimeWindow,
     VertexKind,
+    Violation,
 )
 from hyperpam.errors import (
     DuplicateName,
     EmptyPermissions,
     KindMismatch,
+    ParseError,
     SchemaError,
     UnknownEdge,
     UnknownVertex,
 )
-from hyperpam.generator import EPOCH
+from hyperpam.generator import EPOCH, config_for_scale, generate, make_fixture_usecase
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy, loads_policy
 
@@ -206,8 +215,6 @@ def test_serialization_round_trip_random():
 
 
 def test_save_policy_failure_leaves_the_old_file(tmp_path, monkeypatch):
-    import hyperpam.serialize as serialize_mod
-
     path = tmp_path / "policy.json"
     serialize_mod.save_policy(random_policy(Rng(7)), str(path))
     before = path.read_bytes()
@@ -220,6 +227,65 @@ def test_save_policy_failure_leaves_the_old_file(tmp_path, monkeypatch):
         serialize_mod.save_policy(random_policy(Rng(8)), str(path))
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["policy.json"]
+
+
+def _records(version: float) -> list[BenchRecord]:
+    return [BenchRecord(m, n, 1, 0.1, version * n, 10 * n, 5 * n, 0.0)
+            for m in ("hyper", "dag") for n in (200, 400, 800)]
+
+
+def _write(writer: str, path, version: float) -> None:
+    """Write ``path`` with ``writer``; an error propagates as an exception."""
+    if writer == "write_atomic":
+        serialize_mod.write_atomic(str(path), f"text {version}\n")
+    elif writer == "save_policy":
+        serialize_mod.save_policy(random_policy(Rng(int(version * 10))), str(path))
+    elif writer == "emit_csv":
+        emit_csv(_records(version), str(path))
+    elif writer == "emit_report":
+        fits = {m: {"detect_time_s": RegressionFit(version, 1.0, 1.0)} for m in ("hyper", "dag")}
+        emit_report(_records(version), fits, str(path))
+    else:  # the CLI's ground-truth ledger, written after the policy
+        code = cli_main([
+            "generate", "--users", "20", "--roles", "4", "--resources", "20",
+            "--seed", str(int(version * 10)), "--out", str(path.parent / "p.json"),
+            "--ground-truth", str(path),
+        ])
+        if code:  # the CLI reports an io error as an exit code
+            raise OSError(code, "hyperpam generate failed")
+
+
+@pytest.mark.parametrize(
+    "writer", ["write_atomic", "save_policy", "emit_csv", "emit_report", "ground_truth"]
+)
+def test_failed_write_leaves_the_existing_file(writer, tmp_path, monkeypatch):
+    path = tmp_path / "out"
+    _write(writer, path, 0.1)
+    before = path.read_bytes()
+    files = sorted(f.name for f in tmp_path.iterdir())
+    fsync = os.fsync
+    calls = []
+
+    def fsync_then_fail(fd):
+        calls.append(fd)
+        if writer != "ground_truth" or len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        fsync(fd)
+
+    monkeypatch.setattr(serialize_mod.os, "fsync", fsync_then_fail)
+    with pytest.raises(OSError):
+        _write(writer, path, 0.2)
+    assert path.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == files
+
+
+def test_atomic_write_keeps_the_file_mode(tmp_path):
+    path = tmp_path / "ledger.json"
+    path.write_text("old")
+    path.chmod(0o600)
+    serialize_mod.write_atomic(str(path), "new")
+    assert path.read_text() == "new"
+    assert path.stat().st_mode & 0o777 == 0o600
 
 
 def test_serialization_preserves_assignment_direction(tiny):
@@ -270,3 +336,484 @@ def test_constraints_serialize():
     e = next(iter(q.edges()))
     kinds = sorted(type(c).__name__ for c in e.constraints)
     assert kinds == ["SameAccount", "TimeWindow"]
+
+
+# ----------------------------------------------------------------------
+# loader error messages, pinned
+# ----------------------------------------------------------------------
+
+
+def _schema_document() -> dict:
+    """A small valid document: every vertex kind, two assignments and one
+    constrained association."""
+    return {
+        "permission_universe": ["Read", "Write"],
+        "vertices": [
+            {"id": 0, "kind": "policy_class", "name": "pc", "account": "", "tags": {}},
+            {"id": 1, "kind": "user", "name": "u", "account": "a", "tags": {}},
+            {"id": 2, "kind": "user_attr", "name": "role", "account": "a", "tags": {}},
+            {"id": 3, "kind": "resource", "name": "r", "account": "a", "tags": {"env": "production"}},
+            {"id": 4, "kind": "resource_attr", "name": "ra", "account": "a", "tags": {}},
+        ],
+        "hyperedges": [
+            {"id": 0, "kind": "assignment", "members": [1, 2], "permissions": [],
+             "constraints": [], "active": True},
+            {"id": 1, "kind": "assignment", "members": [3, 4], "permissions": [],
+             "constraints": [], "active": False},
+            {"id": 2, "kind": "association", "members": [2, 4, 0], "permissions": ["Read"],
+             "constraints": [{"kind": "same_account"}], "active": True},
+        ],
+    }
+
+
+_DROP = object()
+
+
+def _set(section: str, index: int, key: str, value):
+    def mutate(doc):
+        entry = doc[section][index]
+        if value is _DROP:
+            del entry[key]
+        else:
+            entry[key] = value
+    return mutate
+
+
+def _replace(section: str, index: int, value):
+    def mutate(doc):
+        doc[section][index] = value
+    return mutate
+
+
+def _root(key: str, value):
+    def mutate(doc):
+        if value is _DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    return mutate
+
+
+def _both(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+    return mutate
+
+
+V, E = "$.vertices[1]", "$.hyperedges[2]"
+TW = {"kind": "time_window", "start": "2025-06-01T00:00:00+00:00", "end": "2025-06-01T02:00:00+00:00"}
+
+SCHEMA_CASES = [
+    # document root
+    ("root-missing-universe", _root("permission_universe", _DROP),
+     "$: missing required field 'permission_universe'"),
+    ("root-universe-not-list", _root("permission_universe", "Read"),
+     "$.permission_universe: wrong type str"),
+    ("root-universe-entries", _root("permission_universe", ["Read", 1]),
+     "$.permission_universe: entries must be strings"),
+    ("root-missing-vertices", _root("vertices", _DROP), "$: missing required field 'vertices'"),
+    ("root-vertices-not-list", _root("vertices", {}), "$.vertices: wrong type dict"),
+    ("root-missing-hyperedges", _root("hyperedges", _DROP),
+     "$: missing required field 'hyperedges'"),
+    # vertex fields: missing, wrong type, bool for int
+    ("vertex-not-object", _replace("vertices", 1, "u"), f"{V}: missing required field 'id'"),
+    ("vertex-missing-id", _set("vertices", 1, "id", _DROP), f"{V}: missing required field 'id'"),
+    ("vertex-id-str", _set("vertices", 1, "id", "1"), f"{V}.id: wrong type str"),
+    ("vertex-id-float", _set("vertices", 1, "id", 1.0), f"{V}.id: wrong type float"),
+    ("vertex-id-bool", _set("vertices", 1, "id", True), f"{V}.id: wrong type bool"),
+    ("vertex-missing-kind", _set("vertices", 1, "kind", _DROP),
+     f"{V}: missing required field 'kind'"),
+    ("vertex-kind-int", _set("vertices", 1, "kind", 0), f"{V}.kind: wrong type int"),
+    ("vertex-kind-unknown", _set("vertices", 1, "kind", "group"),
+     f"{V}.kind: unknown vertex kind 'group'"),
+    ("vertex-kind-permission", _set("vertices", 1, "kind", "permission"),
+     f"{V}.kind: unknown vertex kind 'permission'"),
+    ("vertex-missing-name", _set("vertices", 1, "name", _DROP),
+     f"{V}: missing required field 'name'"),
+    ("vertex-name-int", _set("vertices", 1, "name", 7), f"{V}.name: wrong type int"),
+    ("vertex-name-empty", _set("vertices", 1, "name", ""), f"{V}: vertex name must be non-empty"),
+    ("vertex-missing-account", _set("vertices", 1, "account", _DROP),
+     f"{V}: missing required field 'account'"),
+    ("vertex-account-null", _set("vertices", 1, "account", None), f"{V}.account: wrong type NoneType"),
+    ("vertex-missing-tags", _set("vertices", 1, "tags", _DROP), f"{V}: missing required field 'tags'"),
+    ("vertex-tags-list", _set("vertices", 1, "tags", []), f"{V}.tags: wrong type list"),
+    ("vertex-tag-value-int", _set("vertices", 1, "tags", {"env": 1}),
+     f"{V}.tags: keys and values must be strings"),
+    ("vertex-duplicate-id", _set("vertices", 2, "id", 1),
+     "$.vertices[2]: vertex id 1 already in use"),
+    ("vertex-duplicate-name", _both(_set("vertices", 2, "kind", "user"), _set("vertices", 2, "name", "u")),
+     "$.vertices[2]: user named 'u' already exists"),
+    # the first failing check wins, in field order
+    ("vertex-unknown-kind-before-missing-name",
+     _both(_set("vertices", 1, "kind", "group"), _set("vertices", 1, "name", _DROP)),
+     f"{V}.kind: unknown vertex kind 'group'"),
+    ("vertex-missing-id-before-bad-tags",
+     _both(_set("vertices", 1, "id", _DROP), _set("vertices", 1, "tags", 3)),
+     f"{V}: missing required field 'id'"),
+    # hyperedge fields
+    ("edge-not-object", _replace("hyperedges", 2, [2, 4, 0]), f"{E}: missing required field 'id'"),
+    ("edge-missing-id", _set("hyperedges", 2, "id", _DROP), f"{E}: missing required field 'id'"),
+    ("edge-id-str", _set("hyperedges", 2, "id", "2"), f"{E}.id: wrong type str"),
+    ("edge-id-bool", _set("hyperedges", 2, "id", False), f"{E}.id: wrong type bool"),
+    ("edge-missing-kind", _set("hyperedges", 2, "kind", _DROP), f"{E}: missing required field 'kind'"),
+    ("edge-kind-list", _set("hyperedges", 2, "kind", ["association"]), f"{E}.kind: wrong type list"),
+    ("edge-kind-unknown", _set("hyperedges", 2, "kind", "grant"),
+     f"{E}.kind: unknown hyperedge kind 'grant'"),
+    ("edge-missing-members", _set("hyperedges", 2, "members", _DROP),
+     f"{E}: missing required field 'members'"),
+    ("edge-members-str", _set("hyperedges", 2, "members", "240"), f"{E}.members: wrong type str"),
+    ("edge-member-str", _set("hyperedges", 2, "members", [2, "4", 0]),
+     f"{E}.members: entries must be vertex ids"),
+    ("edge-member-bool", _set("hyperedges", 2, "members", [2, True, 0]),
+     f"{E}.members: entries must be vertex ids"),
+    ("edge-member-float", _set("hyperedges", 2, "members", [2, 4.0, 0]),
+     f"{E}.members: entries must be vertex ids"),
+    ("edge-member-unknown", _set("hyperedges", 2, "members", [2, 4, 99]), f"{E}: no vertex with id 99"),
+    ("edge-missing-permissions", _set("hyperedges", 2, "permissions", _DROP),
+     f"{E}: missing required field 'permissions'"),
+    ("edge-permissions-str", _set("hyperedges", 2, "permissions", "Read"),
+     f"{E}.permissions: wrong type str"),
+    ("edge-permission-unknown", _set("hyperedges", 2, "permissions", ["Read", "Fly"]),
+     f"{E}: permission 'Fly' not in universe"),
+    ("edge-permission-unhashable", _set("hyperedges", 2, "permissions", [["Read"]]),
+     f"{E}: unhashable type: 'list'"),
+    ("edge-missing-constraints", _set("hyperedges", 2, "constraints", _DROP),
+     f"{E}: missing required field 'constraints'"),
+    ("edge-constraints-object", _set("hyperedges", 2, "constraints", {}),
+     f"{E}.constraints: wrong type dict"),
+    ("edge-constraint-not-object", _set("hyperedges", 2, "constraints", ["same_account"]),
+     f"{E}.constraints[0]: constraint must be an object"),
+    ("edge-constraint-unknown", _set("hyperedges", 2, "constraints", [TW, {"kind": "mfa"}]),
+     f"{E}.constraints[1]: unknown constraint kind 'mfa'"),
+    ("edge-constraint-window-missing-end",
+     _set("hyperedges", 2, "constraints", [{"kind": "time_window", "start": TW["start"]}]),
+     f"{E}.constraints[0]: time_window missing 'end'"),
+    ("edge-constraint-window-inverted",
+     _set("hyperedges", 2, "constraints", [dict(TW, start=TW["end"], end=TW["start"])]),
+     f"{E}.constraints[0]: time window start must precede end"),
+    ("edge-constraint-approval-empty",
+     _set("hyperedges", 2, "constraints", [{"kind": "approval_required", "tag": ""}]),
+     f"{E}.constraints[0]: approval_required needs a non-empty tag"),
+    ("edge-missing-active", _set("hyperedges", 2, "active", _DROP), f"{E}: missing required field 'active'"),
+    ("edge-active-int", _set("hyperedges", 2, "active", 1), f"{E}.active: wrong type int"),
+    ("edge-duplicate-id", _set("hyperedges", 2, "id", 1), f"{E}: hyperedge id 1 already in use"),
+    ("edge-one-member-assignment", _set("hyperedges", 0, "members", [1]),
+     "$.hyperedges[0]: tuple index out of range"),
+    ("edge-bad-constraint-before-missing-active",
+     _both(_set("hyperedges", 2, "constraints", [{"kind": "mfa"}]), _set("hyperedges", 2, "active", _DROP)),
+     f"{E}.constraints[0]: unknown constraint kind 'mfa'"),
+    # every entry's schema is checked before any edge is inserted
+    ("edge-schema-before-insertion",
+     _both(_set("hyperedges", 0, "members", [1, 99]), _set("hyperedges", 2, "active", "yes")),
+     f"{E}.active: wrong type str"),
+    # insertion faults surface in id order, not document order
+    ("edge-insertion-in-id-order",
+     _both(_set("hyperedges", 0, "id", 9), _set("hyperedges", 0, "members", [1, 98]),
+           _set("hyperedges", 2, "members", [2, 4, 99])),
+     f"{E}: no vertex with id 99"),
+    # structural invariants, checked after the build
+    ("invariant-assignment-permissions", _set("hyperedges", 0, "permissions", ["Read"]),
+     "document violates policy invariants: "
+     "AssignmentHasPermissions(edge:0): assignments carry no permission label"),
+    ("invariant-self-assignment", _set("hyperedges", 0, "members", [2, 2]),
+     "document violates policy invariants: SelfAssignment(edge:0): links a vertex to itself"),
+    ("invariant-missing-policy-class", _set("hyperedges", 2, "members", [2, 4]),
+     "document violates policy invariants: MissingPolicyClass(edge:2): no policy class member"),
+]
+
+
+def test_schema_document_is_valid_and_canonical():
+    text = json.dumps(_schema_document(), separators=(",", ":"))
+    assert dumps_policy(loads_policy(text)) == text
+
+
+@pytest.mark.parametrize(
+    "mutate,message", [c[1:] for c in SCHEMA_CASES], ids=[c[0] for c in SCHEMA_CASES]
+)
+def test_loader_error_messages(mutate, message):
+    doc = _schema_document()
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        loads_policy(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_loader_rejects_non_object_root():
+    with pytest.raises(SchemaError) as info:
+        loads_policy("[]")
+    assert str(info.value) == "$: missing required field 'permission_universe'"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(config_for_scale(1000, seed=1234))[0],
+        lambda: generate(config_for_scale(1000, seed=1234, profile="sqrt-grouping"))[0],
+        lambda: make_fixture_usecase()[0],
+    ],
+    ids=["standard-1000", "sqrt-grouping-1000", "fixture"],
+)
+def test_load_round_trip_is_byte_identical(make):
+    text = dumps_policy(make())
+    assert dumps_policy(loads_policy(text)) == text
+    assert dumps_policy(loads_policy(text.encode("utf-8"))) == text
+
+
+# ----------------------------------------------------------------------
+# validate(): the fast path must report exactly what the full scan does
+# ----------------------------------------------------------------------
+
+
+def _reference_validate(self) -> list[Violation]:
+    """validate() as it was before its plain-assignment and incidence-count
+    shortcuts, kept verbatim as the reference."""
+    out: list[Violation] = []
+
+    for eid, edge in self._edges.items():
+        subject = f"edge:{eid}"
+        missing = [v for v in edge.members if v not in self._vertices]
+        if missing:
+            out.append(
+                Violation("DanglingMember", subject, f"unknown vertices {missing}")
+            )
+            continue
+        kinds = [self._vertices[v].kind for v in edge.members]
+        if edge.kind is HyperedgeKind.ASSIGNMENT:
+            if len(edge.members) != 2:
+                out.append(
+                    Violation(
+                        "BadAssignmentShape",
+                        subject,
+                        f"assignment has {len(edge.members)} members, wants 2",
+                    )
+                )
+                continue
+            if edge.members[0] == edge.members[1]:
+                out.append(
+                    Violation("SelfAssignment", subject, "links a vertex to itself")
+                )
+            if (kinds[0], kinds[1]) not in ASSIGNMENT_PAIRS:
+                out.append(
+                    Violation(
+                        "IllegalKindPair",
+                        subject,
+                        f"{kinds[0].value} -> {kinds[1].value}",
+                    )
+                )
+            if edge.perm_mask != 0:
+                out.append(
+                    Violation(
+                        "AssignmentHasPermissions",
+                        subject,
+                        "assignments carry no permission label",
+                    )
+                )
+        else:
+            pcs = [k for k in kinds if k is VertexKind.POLICY_CLASS]
+            if len(pcs) == 0:
+                out.append(
+                    Violation("MissingPolicyClass", subject, "no policy class member")
+                )
+            elif len(pcs) > 1:
+                out.append(
+                    Violation(
+                        "TooManyPolicyClasses",
+                        subject,
+                        f"{len(pcs)} policy class members, wants exactly 1",
+                    )
+                )
+            if VertexKind.USER_ATTR not in kinds:
+                out.append(
+                    Violation(
+                        "MissingUserAttribute", subject, "no user attribute member"
+                    )
+                )
+            if VertexKind.RESOURCE_ATTR not in kinds:
+                out.append(
+                    Violation(
+                        "MissingResourceAttribute",
+                        subject,
+                        "no resource attribute member",
+                    )
+                )
+            if edge.perm_mask == 0:
+                out.append(
+                    Violation("EmptyPermissions", subject, "association grants nothing")
+                )
+        if edge.perm_mask & ~self.universe.full_mask:
+            out.append(
+                Violation(
+                    "UnknownPermissionBits",
+                    subject,
+                    "permission mask outside the declared universe",
+                )
+            )
+        for c in edge.constraints:
+            if isinstance(c, TimeWindow) and not c.start < c.end:
+                out.append(
+                    Violation("BadTimeWindow", subject, "start must precede end")
+                )
+
+    # incidence exactness, both directions
+    for vid, ids in self._incidence.items():
+        for eid in ids:
+            edge = self._edges.get(eid)
+            if edge is None or vid not in edge.members:
+                out.append(
+                    Violation(
+                        "IncidenceMismatch",
+                        f"vertex:{vid}",
+                        f"incidence lists edge {eid} which does not contain it",
+                    )
+                )
+    for eid, edge in self._edges.items():
+        for vid in set(edge.members):
+            if vid in self._vertices and eid not in self._incidence[vid]:
+                out.append(
+                    Violation(
+                        "IncidenceMismatch",
+                        f"vertex:{vid}",
+                        f"member of edge {eid} but incidence entry is missing",
+                    )
+                )
+    return out
+
+
+def _add_incidence(p, rng):
+    """Index some edge under a vertex that is not one of its members."""
+    vids = sorted(v.id for v in p.vertices())
+    for eid in sorted(e.id for e in p.edges()):
+        outsiders = [v for v in vids if v not in p.edge(eid).members]
+        if outsiders:
+            p._incidence[rng.choice(outsiders)].add(eid)
+            return
+
+
+def _drop_incidence(p, rng):
+    """Forget one (member, edge) index entry."""
+    eid = rng.choice(sorted(e.id for e in p.edges()))
+    p._incidence[rng.choice(sorted(set(p.edge(eid).members)))].discard(eid)
+
+
+def _add_stale_incidence(p, rng):
+    """Index an edge id that does not exist."""
+    p._incidence[rng.choice(sorted(p._incidence))].add(10_000 + rng.randint(0, 9))
+
+
+CORRUPTIONS = {
+    "extra": [_add_incidence],
+    "missing": [_drop_incidence],
+    "both": [_add_incidence, _drop_incidence],
+    "stale": [_add_stale_incidence],
+    "swap": [_drop_incidence, _add_stale_incidence, _add_incidence],
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_validate_matches_reference_on_corrupted_incidence(corruption):
+    for seed in range(40):
+        rng = Rng(seed + 9000)
+        p = random_policy(rng)
+        for corrupt in CORRUPTIONS[corruption]:
+            corrupt(p, rng)
+        expected = _reference_validate(p)
+        assert any(v.rule == "IncidenceMismatch" for v in expected)
+        assert p.validate() == expected
+
+
+def test_validate_matches_reference_on_malformed_edges():
+    p = PolicyHypergraph(["Read", "Write"])
+    u = p.add_vertex(VertexKind.USER, "u")
+    ua = p.add_vertex(VertexKind.USER_ATTR, "ua")
+    ra = p.add_vertex(VertexKind.RESOURCE_ATTR, "ra")
+    r = p.add_vertex(VertexKind.RESOURCE, "r")
+    pc = p.add_vertex(VertexKind.POLICY_CLASS, "pc")
+    window = TimeWindow(EPOCH, EPOCH + timedelta(hours=1))
+    raw = p.add_raw_hyperedge
+    raw(HyperedgeKind.ASSIGNMENT, [u, ua])  # fine
+    raw(HyperedgeKind.ASSIGNMENT, [ua, u])  # illegal pair
+    raw(HyperedgeKind.ASSIGNMENT, [ua, ua])  # self-assignment
+    raw(HyperedgeKind.ASSIGNMENT, [r, ra], ["Read"])  # carries permissions
+    raw(HyperedgeKind.ASSIGNMENT, [r, ra], constraints=[window])  # constrained, fine
+    raw(HyperedgeKind.ASSIGNMENT, [u, ua, ra])  # three members
+    raw(HyperedgeKind.ASSIGNMENT, [u, ua], active=False)  # inactive, fine
+    raw(HyperedgeKind.ASSOCIATION, [ua, ra, pc], ["Write"])  # fine
+    raw(HyperedgeKind.ASSOCIATION, [ua, ra], [])  # no policy class, no permissions
+    raw(HyperedgeKind.ASSOCIATION, [ua, pc, pc, ra], ["Read"])  # policy class twice
+    raw(HyperedgeKind.ASSOCIATION, [u, r, pc], ["Read"])  # no attributes
+    bad_window = p.add_raw_hyperedge(HyperedgeKind.ASSIGNMENT, [u, ua], constraints=[window])
+    object.__setattr__(window, "end", EPOCH)  # inverted after the fact
+    p.edge(bad_window).perm_mask = 1 << 5  # outside the universe
+    expected = _reference_validate(p)
+    assert {v.rule for v in expected} >= {
+        "IllegalKindPair", "SelfAssignment", "AssignmentHasPermissions",
+        "BadAssignmentShape", "MissingPolicyClass", "EmptyPermissions",
+        "TooManyPolicyClasses", "MissingUserAttribute", "MissingResourceAttribute",
+        "BadTimeWindow", "UnknownPermissionBits",
+    }
+    assert p.validate() == expected
+    p._vertices.pop(ra)  # dangling members everywhere ra was used
+    assert p.validate() == _reference_validate(p)
+
+
+@pytest.mark.parametrize("profile", ["standard", "sqrt-grouping"])
+def test_validate_matches_reference_on_generated_policies(profile):
+    p, _ = generate(config_for_scale(300, seed=5, profile=profile))
+    assert p.validate() == _reference_validate(p) == []
+    rng = Rng(5)
+    _add_incidence(p, rng)
+    _drop_incidence(p, rng)
+    assert p.validate() == _reference_validate(p) != []
+
+
+# ----------------------------------------------------------------------
+# the collector pause during a load never leaks
+# ----------------------------------------------------------------------
+
+
+def _bad_invariants_document() -> str:
+    doc = _schema_document()
+    doc["hyperedges"][0]["permissions"] = ["Read"]
+    return json.dumps(doc)
+
+
+def _bad_schema_document() -> str:
+    doc = _schema_document()
+    doc["vertices"][3]["tags"] = {"env": 1}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "text,error,validated",
+    [
+        (json.dumps(_schema_document()), None, True),
+        (_bad_schema_document(), SchemaError, False),
+        (_bad_invariants_document(), SchemaError, True),
+        ('{"permission_universe": [', ParseError, False),
+    ],
+    ids=["valid", "bad-schema", "bad-invariants", "bad-json"],
+)
+def test_load_restores_the_collector_state(enabled, text, error, validated, monkeypatch):
+    seen = []
+    validate = PolicyHypergraph.validate
+
+    def spy(self):
+        seen.append(gc.isenabled())
+        return validate(self)
+
+    monkeypatch.setattr(PolicyHypergraph, "validate", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            loads_policy(text)
+        else:
+            with pytest.raises(error):
+                loads_policy(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the collector is paused while the policy is built and validated
+    assert seen == ([False] if validated else [])

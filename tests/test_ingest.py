@@ -12,6 +12,7 @@ from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
 from hyperpam.errors import ParseError, SchemaError, UnknownAction, UnresolvedReference
 from hyperpam.generator import EPOCH
 from hyperpam.ingest import parse_iam, to_hypergraph
+from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy, loads_policy
 
 CTX = EvaluationContext(EPOCH, "acct-dev")
@@ -178,3 +179,45 @@ def test_malformed_entries_raise_schema_error_and_exit_2(tmp_path, command, text
     else:
         argv = ["ingest", "--in", str(path), "--out", str(tmp_path / "out.json")]
     assert main(argv) == 2
+
+
+def _naive_matching(pattern, names, declared):
+    """Resource matching as a scan over every declared name."""
+    if pattern.endswith("*"):
+        return [n for n in declared if n.startswith(pattern[:-1])]
+    return [n for n in declared if n == pattern]
+
+
+def _random_iam(rng: Rng) -> dict:
+    alphabet = ("a", "b", "ab", "b-", "*", "é", "Z", "0")
+    names = sorted({"".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(40)})
+    rng.shuffle(names)
+    resources = [
+        {"name": n, "account": "acct", "type": f"t{rng.randint(0, 5)}"} for n in names
+    ]
+    patterns = [n[: rng.randint(0, len(n))] + "*" for n in rng.sample(names, 6)]
+    patterns += rng.sample(names, 3) + ["*", "ab*"]
+    roles = [{"name": f"role{i}", "account": "acct"} for i in range(len(patterns))]
+    policies = [
+        {"role": f"role{i}", "actions": ["s3:GetObject"], "resources": [p], "policy_class": "AWS"}
+        for i, p in enumerate(patterns)
+    ]
+    return {"users": [], "roles": roles, "policies": policies, "resources": resources}
+
+
+def test_pattern_matching_agrees_with_a_full_scan(monkeypatch):
+    import hyperpam.ingest as ingest_mod
+
+    for seed in range(30):
+        doc = parse_iam(json.dumps(_random_iam(Rng(seed))))
+        fast = dumps_policy(to_hypergraph(doc))
+        with monkeypatch.context() as m:
+            m.setattr(ingest_mod, "_matching", _naive_matching)
+            assert dumps_policy(to_hypergraph(doc)) == fast
+        declared = {r.name: i for i, r in enumerate(doc.resources)}
+        names = sorted(declared)
+        for entry in doc.policies:
+            (pattern,) = entry.resources
+            assert sorted(ingest_mod._matching(pattern, names, declared)) == sorted(
+                _naive_matching(pattern, names, declared)
+            )
