@@ -7,14 +7,12 @@ detection, so CI can gate on it), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timedelta, timezone
 
 from . import bench as bench_mod
-from .core import PolicyHypergraph, VertexKind
+from .core import VertexKind
 from .detect import (
-    RequiredPermissions,
     attack_window_report,
     detect_escalations,
     detect_over_privileged,
@@ -27,8 +25,8 @@ from .engine import (
     PrivilegeQuery,
     check_privilege,
 )
-from .errors import ParseError, PolicyError, SchemaError
-from .generator import GenConfig, generate
+from .errors import PolicyError
+from .generator import GenConfig, GroundTruth, generate
 from .ingest import parse_iam, to_hypergraph
 from .serialize import load_policy, parse_rfc3339, save_policy, write_atomic
 
@@ -47,10 +45,6 @@ def _max_depth_from_args(args) -> int:
     if args.max_depth < 1:
         raise PolicyError(f"--max-depth must be at least 1, got {args.max_depth}")
     return args.max_depth
-
-
-def _resolve(policy: PolicyHypergraph, kind: VertexKind, name: str) -> int:
-    return policy.vertex_named(kind, name).id
 
 
 def _cmd_generate(args) -> int:
@@ -92,9 +86,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_check(args) -> int:
     policy = load_policy(args.policy)
     q = PrivilegeQuery(
-        _resolve(policy, VertexKind.USER, args.user),
+        policy.vertex_named(VertexKind.USER, args.user).id,
         args.op,
-        _resolve(policy, VertexKind.RESOURCE, args.resource),
+        policy.vertex_named(VertexKind.RESOURCE, args.resource).id,
         _ctx_from_args(args),
     )
     decision = check_privilege(policy, q, _max_depth_from_args(args))
@@ -117,40 +111,13 @@ def _cmd_escalations(args) -> int:
     return 1 if findings else 0
 
 
-def _load_intended(policy: PolicyHypergraph, path: str) -> RequiredPermissions:
-    """Per user, the masks of the ground-truth file's (user, op, resource) facts."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise SchemaError("$: ground truth root must be an object")
-    intended = obj.get("intended", [])
-    if not isinstance(intended, list):
-        raise SchemaError("$.intended: must be a list")
-    by_subject: dict[int, dict[int, int]] = {}
-    for i, fact in enumerate(intended):
-        if not (
-            isinstance(fact, list)
-            and len(fact) == 3
-            and type(fact[0]) is int
-            and isinstance(fact[1], str)
-            and type(fact[2]) is int
-        ):
-            raise SchemaError(f"$.intended[{i}]: want [user id, operation, resource id]")
-        user, op, resource = fact
-        required = by_subject.setdefault(user, {})
-        required[resource] = required.get(resource, 0) | policy.universe.bit(op)
-    return RequiredPermissions(by_subject)
-
-
 def _cmd_overprivileged(args) -> int:
     policy = load_policy(args.policy)
-    required = _load_intended(policy, args.ground_truth)
+    with open(args.ground_truth, "rb") as fh:
+        gt = GroundTruth.loads(fh.read(), policy.universe)
+    ctx = _ctx_from_args(args)
     findings = detect_over_privileged(
-        policy, required, _ctx_from_args(args), _max_depth_from_args(args)
+        policy, gt.required_permissions(ctx), ctx, _max_depth_from_args(args)
     )
     sys.stdout.write(findings_to_jsonl(policy, over_privileged=findings))
     return 1 if findings else 0

@@ -267,14 +267,11 @@ class PolicyHypergraph:
             distinct = set(members)
             for vid in distinct:
                 self._incidence[vid].add(eid)
-            if edge.kind is HyperedgeKind.ASSIGNMENT:  # malformed: not two members
-                touched = (self._assign_out[edge.tail], self._assign_in[edge.head])
-                touched[0][eid] = edge.head
-                touched[1][eid] = edge.tail
-            else:
-                touched = [self._assoc_incidence[vid] for vid in distinct]
-                for ids in touched:
-                    ids[eid] = None
+            if edge.kind is HyperedgeKind.ASSIGNMENT:
+                return eid  # not two members: validate() reports it, and no walk follows it
+            touched = [self._assoc_incidence[vid] for vid in distinct]
+            for ids in touched:
+                ids[eid] = None
         if eid + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
             for adj in touched:
                 _sort_by_id(adj)
@@ -399,12 +396,12 @@ class PolicyHypergraph:
         del self._edges[eid]
         for vid in set(edge.members):
             self._incidence[vid].discard(eid)
-        if edge.kind is HyperedgeKind.ASSIGNMENT:
-            del self._assign_out[edge.tail][eid]
-            del self._assign_in[edge.head][eid]
-        else:
+        if edge.kind is HyperedgeKind.ASSOCIATION:
             for vid in set(edge.members):
                 del self._assoc_incidence[vid][eid]
+        elif len(edge.members) == 2:  # see _new_edge
+            del self._assign_out[edge.tail][eid]
+            del self._assign_in[edge.head][eid]
 
     def set_active(self, eid: HyperedgeId, active: bool) -> None:
         self.edge(eid).active = bool(active)

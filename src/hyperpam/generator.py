@@ -4,10 +4,11 @@ Produces AWS-flavored policies: users assigned to roles (1-5 each,
 uniform), roles granted permission sets (Zipf-sized) over resource types,
 resources bucketed into a fixed type census, entities spread over a few
 synthetic accounts, and a slice of grants carrying time-window or
-same-account constraints. Every policy ships with a ground-truth ledger:
-what each principal is supposed to reach (derived arithmetically from the
-construction, never from the query engine) plus full provenance for every
-injected violation, so detector output can be scored for false positives.
+same-account constraints. Every policy ships with a ground-truth ledger,
+``GroundTruth``, holding the construction's grants and full provenance for
+every injected violation. What a principal is supposed to reach is derived
+from it arithmetically, never from the query engine, so detector output
+can be scored for false positives.
 
 Two profiles:
 
@@ -16,24 +17,26 @@ Two profiles:
 * ``sqrt-grouping`` — ceil(sqrt(n)) user and resource groups with each
   entity assigned to about a quarter of them and all group pairs cross
   associated; the shape that exhibits superlinear hyperedge growth for the
-  size study.
+  size study. Groups stand in for roles and types, so the role, type,
+  constraint and injection settings are ignored.
 
-Injected violations keep attribution exact by construction: escalation
-chains land on reserved grant-free elevated roles and target production
-types that ordinary grants never touch, and excess grants use permissions
-withheld from the ordinary pool. When constrained grants are enabled, one
-deliberately expired grant and one cross-account scoped grant are placed
-on reserved types so that at least one unambiguous false-positive source
-exists for the lossy baseline models.
+In the standard profile and the fixture, injected violations keep
+attribution exact by construction: escalation chains land on reserved
+grant-free elevated roles and target production types that ordinary grants
+never touch, and excess grants use permissions withheld from the ordinary
+pool. When constrained grants are enabled, the standard profile places one
+deliberately expired grant and one cross-account scoped grant on reserved
+types so that at least one unambiguous false-positive source exists for the
+lossy baseline models.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from datetime import datetime, timedelta, timezone
-from typing import Iterator, Optional
+from typing import Any, Optional
 
 from .core import (
     PolicyHypergraph,
@@ -41,12 +44,14 @@ from .core import (
     TimeWindow,
     VertexId,
     VertexKind,
+    as_utc,
 )
 from .detect import RequiredPermissions
 from .engine import EvaluationContext
-from .errors import ConfigInvalid, InsufficientEntities
-from .perm import DEFAULT_PERMISSIONS
+from .errors import ConfigInvalid, InsufficientEntities, SchemaError, UnknownPermission
+from .perm import PermissionUniverse
 from .rng import Rng, zipf_sample
+from .serialize import _decode, _expect, parse_rfc3339
 
 EPOCH = datetime(2025, 6, 1, tzinfo=timezone.utc)
 EVAL_TS = EPOCH + timedelta(days=45)
@@ -168,22 +173,51 @@ class ExcessRecord:
 
 @dataclass
 class GroundTruth:
-    """Construction ledger: intended grants plus injected violations."""
+    """Construction ledger: intended grants plus injected violations.
+
+    ``dumps`` writes the ledger as it is held, one UTF-8 JSON document:
+
+        {"eval_timestamp": RFC 3339,
+         "users": [[id, account, [role, ...]], ...],
+         "grants": [[role, type, [permission, ...], edge,
+                     null | [start, end], same_account, [account, ...]], ...],
+         "resource_types": [[resource, [type, ...]], ...],
+         "chains": [[assignment_edge, association_edge, source_role,
+                     target_role, type, [permission, ...],
+                     [finding user, ...], [fact user, ...]], ...],
+         "excess": [[role, type, [permission, ...], association_edge,
+                     [user, ...]], ...]}
+
+    A row lists a record's fields in declaration order (``_LEDGER_ROWS``).
+    Ids are the policy's vertex and hyperedge ids, permissions are names
+    from its universe, and a timestamp without a UTC offset is read as UTC,
+    as in policy files. Rows keep the order they are held in, so equal
+    ledgers serialize to identical bytes. A grant is written once, not once
+    per user and resource it reaches, so the file is O(grants + user-role
+    pairs + resource-type pairs). ``loads`` reads this shape back and raises
+    SchemaError, naming the field, on any other; undecodable text raises
+    ParseError. ``resources_by_type`` is derived from ``resource_types``.
+    """
 
     eval_timestamp: datetime
     user_roles: dict[VertexId, tuple[VertexId, ...]]
     user_account: dict[VertexId, str]
     grants: list[Grant]
     resource_types: dict[VertexId, tuple[VertexId, ...]]
-    resources_by_type: dict[VertexId, tuple[VertexId, ...]]
     chains: list[ChainRecord] = field(default_factory=list)
     excess: list[ExcessRecord] = field(default_factory=list)
     _grants_by_role: dict[VertexId, list[Grant]] = field(default_factory=dict)
+    resources_by_type: dict[VertexId, tuple[VertexId, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
         if not self._grants_by_role:
             for g in self.grants:
                 self._grants_by_role.setdefault(g.role, []).append(g)
+        by_type: dict[VertexId, list[VertexId]] = {}
+        for rid, types in self.resource_types.items():
+            for tid in types:
+                by_type.setdefault(tid, []).append(rid)
+        self.resources_by_type = {t: tuple(by_type[t]) for t in sorted(by_type)}
 
     def context_for(self, user: VertexId, approvals: frozenset[str] = frozenset()) -> EvaluationContext:
         """Canonical evaluation context: generation epoch, acting as the user."""
@@ -195,8 +229,6 @@ class GroundTruth:
                     ctx: Optional[EvaluationContext] = None) -> bool:
         ctx = ctx or self.context_for(user)
         types = self.resource_types.get(resource, ())
-        if not types:
-            return False
         for role in self.user_roles.get(user, ()):
             for g in self._grants_by_role.get(role, ()):
                 if g.type_id in types and g.mask & opbit and g.satisfied(ctx):
@@ -235,59 +267,89 @@ class GroundTruth:
             inherits[user] = tuple(r for r in roles if r in self._grants_by_role)
         return RequiredPermissions(by_subject, inherits)
 
-    def intended_facts(self, universe_names: tuple[str, ...]) -> Iterator[tuple[int, str, int]]:
-        """Materialized (user, op, resource) facts under per-user canonical contexts."""
-        for user in sorted(self.user_roles):
-            ctx = self.context_for(user)
-            acc: dict[VertexId, int] = {}
-            for role in self.user_roles[user]:
-                for g in self._grants_by_role.get(role, ()):
-                    if not g.satisfied(ctx):
-                        continue
-                    for rid in self.resources_by_type.get(g.type_id, ()):
-                        acc[rid] = acc.get(rid, 0) | g.mask
-            for rid in sorted(acc):
-                mask = acc[rid]
-                for i, name in enumerate(universe_names):
-                    if mask >> i & 1:
-                        yield (user, name, rid)
-
-    def to_obj(self, universe_names: tuple[str, ...]) -> dict:
-        return {
-            "intended": [list(f) for f in self.intended_facts(universe_names)],
-            "violations": {
-                "chains": [
-                    {
-                        "assignment_edge": c.assignment_edge,
-                        "association_edge": c.association_edge,
-                        "source_role": c.source_role,
-                        "target_role": c.target_role,
-                        "type": c.type_id,
-                        "permissions": [
-                            n for i, n in enumerate(universe_names) if c.mask >> i & 1
-                        ],
-                        "finding_users": list(c.finding_users),
-                        "fact_users": list(c.fact_users),
-                    }
-                    for c in self.chains
-                ],
-                "excess": [
-                    {
-                        "association_edge": e.association_edge,
-                        "role": e.role,
-                        "type": e.type_id,
-                        "permissions": [
-                            n for i, n in enumerate(universe_names) if e.mask >> i & 1
-                        ],
-                        "users": list(e.users),
-                    }
-                    for e in self.excess
-                ],
-            },
-        }
-
     def dumps(self, universe_names: tuple[str, ...]) -> str:
-        return json.dumps(self.to_obj(universe_names), separators=(",", ":"))
+        def rows(key: str, records: list) -> list[list]:
+            return [
+                [[n for i, n in enumerate(universe_names) if v >> i & 1] if kind == "p" else v
+                 for kind, v in zip(_LEDGER_ROWS[key], astuple(rec))]
+                for rec in records
+            ]
+
+        obj = {
+            "eval_timestamp": self.eval_timestamp,
+            "users": [(u, self.user_account.get(u, ""), r) for u, r in self.user_roles.items()],
+            "grants": rows("grants", self.grants),
+            "resource_types": list(self.resource_types.items()),
+            "chains": rows("chains", self.chains),
+            "excess": rows("excess", self.excess),
+        }
+        return json.dumps(obj, separators=(",", ":"), default=datetime.isoformat)
+
+    @classmethod
+    def loads(cls, text: str | bytes, universe: PermissionUniverse) -> "GroundTruth":
+        """Read back what ``dumps`` wrote (see the class docstring)."""
+        root = _decode(text)
+
+        def rows(key: str) -> list[list]:
+            shape, out = _LEDGER_ROWS[key], []
+            for i, row in enumerate(_expect(root, key, list, "$")):
+                if type(row) is not list or len(row) != len(shape):
+                    raise SchemaError(f"$.{key}[{i}]: want a list of {len(shape)} fields")
+                out.append([  # an id, bool or string of the right type is taken as it is
+                    v if type(v) is _SCALARS.get(kind)
+                    else _load_cell(kind, v, universe, f"$.{key}[{i}][{j}]")
+                    for j, (kind, v) in enumerate(zip(shape, row))
+                ])
+            return out
+
+        eval_ts = _expect(root, "eval_timestamp", str, "$")
+        users = rows("users")
+        return cls(
+            _load_cell("t", eval_ts, universe, "$.eval_timestamp"),
+            {u: roles for u, _, roles in users},
+            {u: account for u, account, _ in users},
+            [Grant(*row) for row in rows("grants")],
+            dict(rows("resource_types")),
+            [ChainRecord(*row) for row in rows("chains")],
+            [ExcessRecord(*row) for row in rows("excess")],
+        )
+
+
+# Ledger row shapes, one letter per field: i an id, b a bool, s a string,
+# t a timestamp, I a list of ids, S a list of strings, p permission names
+# (held as a mask), w null or a [start, end] window.
+_LEDGER_ROWS = {"users": "isI", "grants": "iipiwbS", "resource_types": "iI",
+                "chains": "iiiiipII", "excess": "iipiI"}
+# shape -> (JSON type, shape of each item)
+_CELLS = {"i": (int, ""), "b": (bool, ""), "s": (str, ""), "t": (str, ""),
+          "I": (list, "i"), "S": (list, "s"), "p": (list, "s"), "w": (list, "t")}
+_SCALARS = {"i": int, "b": bool, "s": str}
+
+
+def _load_cell(kind: str, value: Any, universe: PermissionUniverse, where: str) -> Any:
+    """A ledger field of shape ``kind``, checked; errors name it by ``where``."""
+    want, item = _CELLS[kind]
+    if type(value) is not want:
+        if kind == "w" and value is None:
+            return None
+        raise SchemaError(f"{where}: want {want.__name__}, got {type(value).__name__}")
+    if kind == "t":
+        try:
+            return as_utc(parse_rfc3339(value))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+    if not item:
+        return value
+    if kind == "w" and len(value) != 2:
+        raise SchemaError(f"{where}: want null or [start, end]")
+    scalar = _SCALARS.get(item)
+    if scalar is None or any(type(v) is not scalar for v in value):
+        value = [_load_cell(item, v, universe, f"{where}[{j}]") for j, v in enumerate(value)]
+    items = tuple(value)
+    try:
+        return universe.mask_of(items) if kind == "p" else items
+    except UnknownPermission as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _accounts(n: int) -> list[str]:
@@ -345,7 +407,6 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
 
     rng_r = root.split("resources")
     resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
-    resources_by_type: dict[VertexId, list[VertexId]] = {t: [] for t in type_ids}
     width = max(4, len(str(max(cfg.n_resources, 1))))
     for i in range(cfg.n_resources):
         tid = type_ids[i % len(type_ids)]
@@ -358,7 +419,6 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         )
         policy.add_assignment(rid, tid)
         resource_types[rid] = (tid,)
-        resources_by_type[tid].append(rid)
 
     rng_role = root.split("roles")
     role_ids: list[VertexId] = []
@@ -403,23 +463,10 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     rng_grant = root.split("grants")
     grants: list[Grant] = []
 
-    def add_grant(role, tid, mask, constraints, window, scoped) -> Grant:
-        eid = policy.add_association([role], [tid], pc, _names(universe, mask), constraints)
-        g = Grant(
-            role,
-            tid,
-            mask,
-            eid,
-            window=window,
-            same_account=scoped,
-            member_accounts=(
-                (policy.vertex(role).account, policy.vertex(tid).account)
-                if scoped
-                else ()
-            ),
-        )
-        grants.append(g)
-        return g
+    def add_grant(role, tid, mask, constraints, window, scoped) -> None:
+        eid = policy.add_association([role], [tid], pc, universe.names_of(mask), constraints)
+        accounts = (policy.vertex(role).account, policy.vertex(tid).account) if scoped else ()
+        grants.append(Grant(role, tid, mask, eid, window, scoped, accounts))
 
     for role in base_roles:
         if not base_types:
@@ -469,7 +516,6 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         user_account=user_account,
         grants=grants,
         resource_types=resource_types,
-        resources_by_type={t: tuple(rs) for t, rs in resources_by_type.items()},
     )
 
     rng_chain = root.split("chains")
@@ -485,28 +531,35 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
             role_users=role_users,
         )
 
-    rng_excess = root.split("excess")
-    eligible = [r for r in base_roles if any(g.role == r for g in grants)]
-    if cfg.injected_excess > len(eligible):
-        raise InsufficientEntities(
-            f"cannot inject {cfg.injected_excess} excess grants over "
-            f"{len(eligible)} granted roles"
-        )
-    for i, role in enumerate(sorted(rng_excess.sample(eligible, cfg.injected_excess))):
-        role_grants = [g for g in gt.grants if g.role == role]
-        g = rng_excess.choice(role_grants)
-        mask = universe.mask_of(EXCESS_PERM_CYCLE[i % len(EXCESS_PERM_CYCLE)])
-        eid = policy.add_association([role], [g.type_id], pc, _names(universe, mask))
-        gt.excess.append(
-            ExcessRecord(role, g.type_id, mask, eid, tuple(role_users[role]))
-        )
+    # every granted role is a base role: elevated roles get no grants
+    _inject_excess(policy, gt, root.split("excess"), pc, cfg.injected_excess, role_users)
 
     assert not policy.validate(), "generator produced an invalid policy"
     return policy, gt
 
 
-def _names(universe, mask: int) -> tuple[str, ...]:
-    return universe.names_of(mask)
+def _inject_excess(
+    policy: PolicyHypergraph,
+    gt: GroundTruth,
+    rng: Rng,
+    pc: VertexId,
+    count: int,
+    role_users: dict[VertexId, list[VertexId]],
+    exclude: tuple[VertexId, ...] = (),
+) -> None:
+    """Give ``count`` granted roles, outside ``exclude``, a withheld permission
+    on one of their granted types, and record each grant in ``gt.excess``."""
+    eligible = sorted(r for r in gt._grants_by_role if r not in exclude)
+    if count > len(eligible):
+        raise InsufficientEntities(
+            f"cannot inject {count} excess grants over {len(eligible)} granted roles"
+        )
+    universe = policy.universe
+    for i, role in enumerate(sorted(rng.sample(eligible, count))):
+        g = rng.choice(gt._grants_by_role[role])
+        mask = universe.mask_of(EXCESS_PERM_CYCLE[i % len(EXCESS_PERM_CYCLE)])
+        eid = policy.add_association([role], [g.type_id], pc, universe.names_of(mask))
+        gt.excess.append(ExcessRecord(role, g.type_id, mask, eid, tuple(role_users[role])))
 
 
 def _inject_chain(
@@ -527,7 +580,7 @@ def _inject_chain(
     source = rng.choice(source_pool)
     tid = rng.choice(populated)
     mask = policy.universe.mask_of(["Read", "Write"])
-    assoc = policy.add_association([target], [tid], pc, _names(policy.universe, mask))
+    assoc = policy.add_association([target], [tid], pc, policy.universe.names_of(mask))
     assign = policy.add_assignment(source, target)
     affected = tuple(sorted(set(role_users.get(source, ())) | set(role_users.get(target, ()))))
     record = ChainRecord(
@@ -617,7 +670,6 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
 
     rng_r = root.split("resources")
     resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
-    resources_by_group: dict[VertexId, list[VertexId]] = {r: [] for r in ra_groups}
     width = max(4, len(str(max(cfg.n_resources, 1))))
     for i in range(cfg.n_resources):
         rid = policy.add_vertex(
@@ -629,7 +681,6 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         mine = sorted(rng_r.sample(ra_groups, min(per_entity, len(ra_groups))))
         for gid in mine:
             policy.add_assignment(rid, gid)
-            resources_by_group[gid].append(rid)
         resource_types[rid] = tuple(mine)
 
     rng_u = root.split("users")
@@ -656,7 +707,7 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
                 len(base_pool),
             )
             mask = universe.mask_of(rng_grant.sample(base_pool, p))
-            eid = policy.add_association([ua], [ra], pc, _names(universe, mask))
+            eid = policy.add_association([ua], [ra], pc, universe.names_of(mask))
             grants.append(Grant(ua, ra, mask, eid))
 
     gt = GroundTruth(
@@ -665,7 +716,6 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         user_account=user_account,
         grants=grants,
         resource_types=resource_types,
-        resources_by_type={t: tuple(rs) for t, rs in resources_by_group.items()},
     )
     assert not policy.validate(), "generator produced an invalid policy"
     return policy, gt
@@ -713,9 +763,6 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
     dev_type_names = [n for n in FIXTURE_TYPE_NAMES if n not in FIXTURE_PROD_TYPES]
 
     resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
-    resources_by_type: dict[VertexId, list[VertexId]] = {
-        t: [] for t in type_ids.values()
-    }
 
     def add_resource(name: str, type_name: str) -> VertexId:
         tid = type_ids[type_name]
@@ -728,7 +775,6 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
         )
         policy.add_assignment(rid, tid)
         resource_types[rid] = (tid,)
-        resources_by_type[tid].append(rid)
         return rid
 
     add_resource("ProductionDB", "rds-database")
@@ -801,7 +847,6 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
         user_account=user_account,
         grants=grants,
         resource_types=resource_types,
-        resources_by_type={t: tuple(rs) for t, rs in resources_by_type.items()},
     )
 
     # The unintended role inheritance: Developer chains into the grant-free
@@ -817,15 +862,7 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
         role_users=role_users,
     )
 
-    eligible = sorted({g.role for g in grants} - {developer})
-    for i, role in enumerate(sorted(rng.sample(eligible, min(excess_roles, len(eligible))))):
-        role_grants = [g for g in grants if g.role == role]
-        g = rng.choice(role_grants)
-        mask = universe.mask_of(EXCESS_PERM_CYCLE[i % len(EXCESS_PERM_CYCLE)])
-        eid = policy.add_association(
-            [role], [g.type_id], pc, universe.names_of(mask)
-        )
-        gt.excess.append(ExcessRecord(role, g.type_id, mask, eid, tuple(role_users[role])))
+    _inject_excess(policy, gt, rng, pc, excess_roles, role_users, exclude=(developer,))
 
     assert not policy.validate(), "fixture must be well-formed"
     return policy, gt

@@ -52,10 +52,6 @@ from .core import (
 from .errors import ParseError, SchemaError
 
 
-def _rfc3339(ts: datetime) -> str:
-    return ts.isoformat()
-
-
 def parse_rfc3339(text: str) -> datetime:
     if not isinstance(text, str):
         raise SchemaError(f"timestamp must be an RFC3339 string, got {type(text).__name__}")
@@ -69,7 +65,7 @@ def constraint_to_obj(c: Constraint) -> dict[str, Any]:
     if isinstance(c, SameAccount):
         return {"kind": "same_account"}
     if isinstance(c, TimeWindow):
-        return {"kind": "time_window", "start": _rfc3339(c.start), "end": _rfc3339(c.end)}
+        return {"kind": "time_window", "start": c.start.isoformat(), "end": c.end.isoformat()}
     if isinstance(c, ApprovalRequired):
         return {"kind": "approval_required", "tag": c.tag}
     raise SchemaError(f"unknown constraint type {type(c).__name__}")

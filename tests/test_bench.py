@@ -154,7 +154,6 @@ def _same_account_policy():
         user_account={a: "x", b: "y"},
         grants=[Grant(role, t, p.universe.mask_of(["Read"]), grant)],
         resource_types={r: (t,)},
-        resources_by_type={t: (r,)},
     )
     probes = [PrivilegeQuery(u, "Read", r, gt.context_for(u)) for u in (a, b)]
     return p, gt, probes

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from hyperpam.cli import main
-from hyperpam.generator import EVAL_TS, make_fixture_usecase
+from hyperpam.detect import detect_over_privileged, findings_to_jsonl
+from hyperpam.engine import EvaluationContext
+from hyperpam.generator import EVAL_TS, GenConfig, GroundTruth, generate, make_fixture_usecase
 from hyperpam.serialize import load_policy, save_policy
 
 from .builders import bool_id_document
@@ -37,8 +39,10 @@ def test_generate_and_ground_truth(tmp_path, capsys):
     policy = load_policy(str(out))
     assert policy.vertex_count > 0
     gt_obj = json.loads(gt.read_text())
-    assert gt_obj["violations"]["chains"] and gt_obj["violations"]["excess"]
-    assert all(len(f) == 3 for f in gt_obj["intended"])
+    assert gt_obj["chains"] and gt_obj["excess"]
+    cfg = GenConfig(n_users=30, n_roles=6, n_resources=40, injected_chains=1,
+                    injected_excess=1, seed=3)
+    assert GroundTruth.loads(gt.read_bytes(), policy.universe) == generate(cfg)[1]
 
 
 def test_generate_bad_config_exits_2(tmp_path):
@@ -198,21 +202,61 @@ def test_overprivileged_reports_excess(fixture_policy_path, fixture_ground_truth
     assert all(json.loads(line)["kind"] == "over_privilege" for line in lines)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{not json",
-        '{"intended": [[1, "Read"]]}',
-        "[]",
-        '{"intended": {}}',
-        '{"intended": [[1, "Read", [2]]]}',
-        '{"intended": [[true, "Read", 2]]}',
-    ],
-    ids=["not-json", "short-fact", "list-root", "intended-object", "list-id", "bool-id"],
-)
-def test_overprivileged_malformed_ground_truth_exits_2(
-    fixture_policy_path, tmp_path, capsys, text
+@pytest.mark.parametrize("account", ["", "acct-0"])
+def test_overprivileged_matches_the_library_pass(
+    fixture_policy_path, fixture_ground_truth_path, capsys, account
 ):
+    policy, gt = make_fixture_usecase()
+    ctx = EvaluationContext(EVAL_TS, account)
+    findings = detect_over_privileged(policy, gt.required_permissions(ctx), ctx)
+    code = main(
+        ["overprivileged", "--policy", fixture_policy_path,
+         "--ground-truth", fixture_ground_truth_path, "--at", AT, "--account", account]
+    )
+    assert code == 1
+    assert capsys.readouterr().out == findings_to_jsonl(policy, over_privileged=findings)
+
+
+def _set(section, row, col, value):
+    def change(obj):
+        obj[section][row][col] = value
+    return change
+
+
+def _drop(key):
+    return lambda obj: obj.pop(key)
+
+
+MALFORMED_LEDGERS = {
+    "not-json": ("{not json", "invalid JSON"),
+    "list-root": ("[]", "$: missing required field 'eval_timestamp'"),
+    "old-format": ('{"intended": [], "violations": {"chains": [], "excess": []}}',
+                   "$: missing required field 'eval_timestamp'"),
+    "bool-id": (_set("users", 0, 0, True), "$.users[0][0]: want int, got bool"),
+    "list-id": (_set("users", 0, 0, [5]), "$.users[0][0]: want int, got list"),
+    "id-for-list": (_set("resource_types", 0, 1, 7), "$.resource_types[0][1]: want list, got int"),
+    "string-in-id-list": (_set("users", 0, 2, ["7"]), "$.users[0][2][0]: want int, got str"),
+    "short-row": (lambda obj: obj["users"][0].pop(), "$.users[0]: want a list of 3 fields"),
+    "missing-key": (_drop("grants"), "$: missing required field 'grants'"),
+    "unknown-permission": (_set("grants", 0, 2, ["Read", "Fly"]),
+                           "$.grants[0][2]: permission 'Fly' not in universe"),
+    "bad-window": (_set("grants", 0, 4, ["soon", AT]),
+                   "$.grants[0][4][0]: bad RFC3339 timestamp 'soon'"),
+    "unknown-vertex": (_set("users", 0, 0, 10**6),
+                       "ground truth names unknown vertex 1000000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LEDGERS))
+def test_overprivileged_malformed_ground_truth_exits_2(
+    fixture_policy_path, fixture_ground_truth_path, tmp_path, capsys, case
+):
+    text, message = MALFORMED_LEDGERS[case]
+    if callable(text):
+        with open(fixture_ground_truth_path) as fh:
+            obj = json.load(fh)
+        text(obj)
+        text = json.dumps(obj)
     path = tmp_path / "gt.json"
     path.write_text(text)
     code = main(
@@ -221,7 +265,7 @@ def test_overprivileged_malformed_ground_truth_exits_2(
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

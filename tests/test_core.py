@@ -201,6 +201,26 @@ def test_lambda_discipline_violations():
     assert "EmptyPermissions" in rules
 
 
+@pytest.mark.parametrize("members", [[], [0], [0, 1, 2]], ids=["none", "one", "three"])
+def test_malformed_assignment_is_reported_and_not_half_indexed(members):
+    p = PolicyHypergraph()
+    ids = [
+        p.add_vertex(VertexKind.USER, "u"),
+        p.add_vertex(VertexKind.USER_ATTR, "ua"),
+        p.add_vertex(VertexKind.RESOURCE_ATTR, "ra"),
+    ]
+    chosen = [ids[i] for i in members]
+    eid = p.add_raw_hyperedge(HyperedgeKind.ASSIGNMENT, chosen)
+    assert [v.rule for v in p.validate()] == ["BadAssignmentShape"]
+    for vid in ids:
+        assert p.incident_edges(vid) == ({eid} if vid in chosen else set())
+        # no walk follows it
+        assert not p.assignments_from(vid) and not p.assignments_to(vid)
+    p.remove_hyperedge(eid)
+    assert p.validate() == [] and p.edge_count == 0
+    assert not any(p.incident_edges(vid) for vid in ids)
+
+
 def test_time_window_rejects_inverted_range():
     with pytest.raises(ValueError):
         TimeWindow(EPOCH + timedelta(hours=2), EPOCH)
@@ -499,7 +519,8 @@ SCHEMA_CASES = [
     ("edge-active-int", _set("hyperedges", 2, "active", 1), f"{E}.active: wrong type int"),
     ("edge-duplicate-id", _set("hyperedges", 2, "id", 1), f"{E}: hyperedge id 1 already in use"),
     ("edge-one-member-assignment", _set("hyperedges", 0, "members", [1]),
-     "$.hyperedges[0]: tuple index out of range"),
+     "document violates policy invariants: BadAssignmentShape(edge:0): "
+     "assignment has 1 members, wants 2"),
     ("edge-bad-constraint-before-missing-active",
      _both(_set("hyperedges", 2, "constraints", [{"kind": "mfa"}]), _set("hyperedges", 2, "active", _DROP)),
      f"{E}.constraints[0]: unknown constraint kind 'mfa'"),

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from datetime import timedelta
 
 import pytest
 
 from hyperpam.core import HyperedgeKind, VertexKind
-from hyperpam.engine import PrivilegeQuery, check_privilege
+from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
 from hyperpam.errors import ConfigInvalid, InsufficientEntities
 from hyperpam.generator import (
     EVAL_TS,
@@ -138,7 +140,6 @@ def test_public_chain_injection_minimal_shape():
         user_account={alice: "a"},
         grants=[],
         resource_types={pdb: (rds,)},
-        resources_by_type={rds: (pdb,)},
     )
     record = inject_escalation_chain(p, gt, Rng(1))
     assert record.source_role == dev and record.target_role == power
@@ -163,7 +164,6 @@ def test_public_chain_injection_needs_entities():
         user_account={u: ""},
         grants=[],
         resource_types={},
-        resources_by_type={},
     )
     with pytest.raises(InsufficientEntities):
         inject_escalation_chain(p, gt, Rng(1))
@@ -219,3 +219,50 @@ def test_sqrt_profile_superlinear_hyperedges():
         assert 4 * 1.3 < g < 16, sizes
     exponent = math.log(sizes[3200] / sizes[200]) / math.log(16)
     assert 1.3 <= exponent <= 1.7, (sizes, exponent)
+
+
+# sha256 of dumps_policy for fixed configs: any change to what generation
+# draws or writes, RNG draw order included, shows here
+POLICY_SHA256 = {
+    "standard": "e8b4f34409b3d5f6ec56c60316c319735d20183db08ee9a33fd9065a89c4a3ba",
+    "sqrt-grouping": "34dfba486f6c992b458da72dc297efed150de590aca185b836fc39ae29d7c335",
+    "fixture": "aa5be4ee7e4df90d437f5adf8a879cfbda1b99fc1710c9f7f323dac9534b2937",
+}
+
+
+def _generated(case):
+    if case == "fixture":
+        return make_fixture_usecase()
+    return generate(config_for_scale(400, seed=1234, profile=case))
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_SHA256))
+def test_generated_policy_bytes_are_frozen(case):
+    policy, _ = _generated(case)
+    assert hashlib.sha256(dumps_policy(policy).encode()).hexdigest() == POLICY_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_SHA256))
+def test_ledger_round_trip(case):
+    policy, gt = _generated(case)
+    text = gt.dumps(policy.universe.names)
+    loaded = GroundTruth.loads(text, policy.universe)
+    assert loaded == gt
+    assert loaded.dumps(policy.universe.names) == text
+    assert loaded.resources_by_type == gt.resources_by_type
+    now = EvaluationContext(EVAL_TS)
+    later = EvaluationContext(EVAL_TS + timedelta(days=400), "acct-0")
+    for ctx in (now, later):
+        assert loaded.required_permissions(ctx) == gt.required_permissions(ctx)
+    if case == "standard":  # it has constrained grants, so the contexts matter
+        assert gt.required_permissions(now) != gt.required_permissions(later)
+    # a timestamp without an offset is read as UTC, as policy files read it
+    assert GroundTruth.loads(text.replace("+00:00", ""), policy.universe) == gt
+
+
+def test_ledger_size_is_linear_in_policy_size():
+    sizes = {}
+    for n in (1000, 2000):
+        policy, gt = generate(config_for_scale(n, seed=1234))
+        sizes[n] = len(gt.dumps(policy.universe.names))
+    assert sizes[2000] < 2.5 * sizes[1000], sizes
