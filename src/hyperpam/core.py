@@ -74,7 +74,7 @@ class HyperedgeKind(Enum):
     ASSOCIATION = "association"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: VertexId
     kind: VertexKind
@@ -123,7 +123,7 @@ class ApprovalRequired:
 Constraint = Union[SameAccount, TimeWindow, ApprovalRequired]
 
 
-@dataclass
+@dataclass(slots=True)
 class Hyperedge:
     id: HyperedgeId
     kind: HyperedgeKind

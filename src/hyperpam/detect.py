@@ -60,7 +60,7 @@ from .errors import GroundTruthMismatch
 from .perm import PermissionSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EscalationFinding:
     user: VertexId
     path: AccessPath
@@ -79,7 +79,7 @@ class EscalationFinding:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OverPrivilegeFinding:
     """Per resource, the operations ``subject`` holds beyond what it requires."""
 

@@ -84,7 +84,7 @@ class PrivilegeQuery:
     ctx: EvaluationContext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessPath:
     """Alternating v0, e1, v1, ..., ek, vk witness."""
 
@@ -105,7 +105,7 @@ class AccessPath:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessDecision:
     allowed: bool
     witness: Optional[AccessPath]

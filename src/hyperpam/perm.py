@@ -78,7 +78,7 @@ class PermissionUniverse:
         return PermissionSet(self, self.full_mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermissionSet:
     """Subset of a universe; set semantics on an integer mask."""
 

@@ -15,16 +15,22 @@ equal policies serialize to identical bytes. Loading validates the document
 and raises SchemaError on any structural violation.
 
 What a load costs: a standard n=4000 policy (6,416 vertices, 16,549
-hyperedges, 2.4 MB) loads in about 0.2 s with CPython 3.11 on a 2-vCPU box.
-About a fifth of that is JSON decoding, an eighth is validate(), and the rest
-is building the vertex, edge and index objects. The load allocates ~100k
-containers and creates no reference cycles, so the cyclic garbage collector
-is paused for it. Left on, it ran ~250 young, 23 middle and 2 full
-collections per load that found nothing to free, at 0.06 s per load, or
-0.11 s while a generated ground-truth ledger is alive, since a full
-collection scans every live container. Each entry passes exact type tests on
-its fields at a glance; only an entry that fails them is checked field by
-field, which raises the same message the full check always gives.
+hyperedges, 2.4 MB) loads in 0.12-0.29 s with CPython 3.11 on a shared 2-vCPU
+box, depending on what else runs on it. About a quarter of that is JSON
+decoding, a seventh is validate(), and the rest is building the vertex, edge
+and index objects. Its traced memory peaks at 18.1 MB for a 14.9 MB graph
+(1.21x): load_policy frees the file's bytes and the decoded text before the
+build starts, and the build drops each entry of the 14.4 MB decoded document
+once it is added. The peak comes at the end of the vertex pass, while every
+hyperedge entry is still held.
+
+The load allocates ~100k containers and creates no reference cycles, so the
+cyclic garbage collector is paused for it. Left on, it ran ~250 young, 23
+middle and 2 full collections per load that found nothing to free, at 0.06 s
+per load, or 0.11 s while a generated ground-truth ledger is alive, since a
+full collection scans every live container. Each entry passes exact type
+tests on its fields at a glance; only an entry that fails them is checked
+field by field, which raises the same message the full check always gives.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import stat
 from contextlib import contextmanager
 from datetime import datetime
 from operator import itemgetter
+from pathlib import Path
 from typing import Any
 
 from .core import (
@@ -192,6 +199,12 @@ def _collector_paused():
 
 
 def policy_from_obj(obj: Any) -> PolicyHypergraph:
+    """Build and validate a policy from a decoded document, consuming it.
+
+    Each vertex entry, hyperedge entry and staged edge is dropped as soon as
+    it has been added, so the document shrinks while the graph grows. The
+    caller must hand over its only reference and not read ``obj`` again.
+    """
     universe = _expect(obj, "permission_universe", list, "$")
     if not all(isinstance(p, str) for p in universe):
         raise SchemaError("$.permission_universe: entries must be strings")
@@ -201,7 +214,8 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
     # other goes through _vertex_entry/_edge_entry, which raise the message
     # of its first fault (or accept it, e.g. a dict subclass).
     kind_by_value = {k.value: k for k in VertexKind if k is not VertexKind.PERMISSION}
-    for i, vobj in enumerate(_expect(obj, "vertices", list, "$")):
+    vertices = _expect(obj, "vertices", list, "$")
+    for i, vobj in enumerate(vertices):
         try:  # TypeError: not an object; KeyError: a field is missing
             vid, kind_s, name, account, tags = _VERTEX_FIELDS(vobj) if type(vobj) is dict else None
         except (TypeError, KeyError):
@@ -220,10 +234,12 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
             policy.add_vertex(kind_by_value[kind_s], name, account, tags, _id=vid)
         except Exception as exc:
             raise SchemaError(f"$.vertices[{i}]: {exc}") from None
+        vertices[i] = None
 
     edge_kinds = {k.value: k for k in HyperedgeKind}
+    hyperedges = _expect(obj, "hyperedges", list, "$")
     edges = []
-    for i, eobj in enumerate(_expect(obj, "hyperedges", list, "$")):
+    for i, eobj in enumerate(hyperedges):
         try:  # TypeError: not an object; KeyError: a field is missing
             eid, kind_s, members, perms, constraints, active = (
                 _EDGE_FIELDS(eobj) if type(eobj) is dict else None
@@ -247,13 +263,15 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
                 eobj, f"$.hyperedges[{i}]", edge_kinds
             )
         edges.append((eid, i, edge_kinds[kind_s], members, perms, constraints, active))
+        hyperedges[i] = None
     # in id order, so no adjacency insert has to re-sort (see core._new_edge)
     edges.sort(key=itemgetter(0))
-    for eid, i, kind, members, perms, constraints, active in edges:
+    for j, (eid, i, kind, members, perms, constraints, active) in enumerate(edges):
         try:
             policy.add_raw_hyperedge(kind, members, perms, constraints, active, _id=eid)
         except Exception as exc:
             raise SchemaError(f"$.hyperedges[{i}]: {exc}") from None
+        edges[j] = None
 
     violations = policy.validate()
     if violations:
@@ -267,14 +285,16 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
 def loads_policy(text: str | bytes) -> PolicyHypergraph:
     """Decode and build a policy with the cyclic collector paused (see above)."""
     with _collector_paused():
-        # the decoded tree is freed as soon as the build returns, so the
-        # first collection after the pause does not have to scan it
+        # the build consumes the decoded tree, so the first collection after
+        # the pause does not have to scan it
         return policy_from_obj(_decode(text))
 
 
 def _decode(text: str | bytes) -> Any:
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")  # frees the bytes if this frame held the only reference
+        return json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
 
@@ -313,5 +333,6 @@ def save_policy(policy: PolicyHypergraph, path: str) -> None:
 
 
 def load_policy(path: str) -> PolicyHypergraph:
-    with open(path, "rb") as fh:
-        return loads_policy(fh.read())
+    """``loads_policy`` of a file; its bytes and text are freed before the build."""
+    with _collector_paused():
+        return policy_from_obj(_decode(Path(path).read_bytes()))

@@ -3,8 +3,8 @@
 The scaling sweeps are shared through module fixtures. ABAC detection is
 swept to n=2000 (its cubic detection shape makes the n=4000 point alone
 cost minutes in pure Python); every exponent assertion on ABAC detect time
-uses that capped range, while its graph-size exponent comes from dedicated
-builds over the full range, which are cheap.
+uses that capped range, while its graph-size exponent comes from ABAC
+builds, which are cheap, on the main sweep's policies over the full range.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from hyperpam.generator import (
     make_fixture_usecase,
 )
 from hyperpam.rng import Rng
-from hyperpam.serialize import dumps_policy
+from hyperpam.serialize import dumps_policy, loads_policy
 
 from .builders import all_triple_probes, random_context, random_policy
 from .oracle import oracle_allows
@@ -165,11 +165,12 @@ def test_criterion_5_graph_size_shapes(sweeps):
     assert fit_dag.b <= 1.2
 
     # ABAC builds are cheap even where its detection is not, so the size
-    # exponent is fitted over the full range with dedicated builds.
-    abac_pts = []
-    for n in range(200, SWEEP_N_END + 1, 200):
-        policy, _ = generate(config_for_scale(n, seed=SEED))
-        abac_pts.append((n, build_abac(policy).edge_count))
+    # exponent is fitted over the full range, on the standard policies the
+    # main sweep generated.
+    abac_pts = [
+        (p.n, build_abac(loads_policy(p.policy_json)).edge_count) for p in sweeps["main"].points
+    ]
+    assert [n for n, _ in abac_pts] == list(range(200, SWEEP_N_END + 1, 200))
     fit_abac = fit_power_law(abac_pts)
     assert fit_abac.b >= 1.8
 

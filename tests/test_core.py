@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import tracemalloc
 from datetime import timedelta
 
 import pytest
@@ -14,13 +15,17 @@ from hyperpam.bench import BenchRecord, RegressionFit, emit_csv, emit_report
 from hyperpam.cli import main as cli_main
 from hyperpam.core import (
     ASSIGNMENT_PAIRS,
+    Hyperedge,
     HyperedgeKind,
     PolicyHypergraph,
     SameAccount,
     TimeWindow,
+    Vertex,
     VertexKind,
     Violation,
 )
+from hyperpam.detect import EscalationFinding, OverPrivilegeFinding
+from hyperpam.engine import AccessDecision, AccessPath
 from hyperpam.errors import (
     DuplicateName,
     EmptyPermissions,
@@ -31,6 +36,7 @@ from hyperpam.errors import (
     UnknownVertex,
 )
 from hyperpam.generator import EPOCH, config_for_scale, generate, make_fixture_usecase
+from hyperpam.perm import PermissionSet
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy, loads_policy
 
@@ -579,6 +585,73 @@ def test_load_round_trip_is_byte_identical(make):
     text = dumps_policy(make())
     assert dumps_policy(loads_policy(text)) == text
     assert dumps_policy(loads_policy(text.encode("utf-8"))) == text
+
+
+# ----------------------------------------------------------------------
+# a load lets go of the decoded document while it builds the graph
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def standard_1000_text() -> str:
+    return dumps_policy(generate(config_for_scale(1000, seed=1234))[0])
+
+
+def _traced_load(load, arg):
+    """``load(arg)``'s policy, the traced bytes it holds, and the traced peak of the call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        policy = load(arg)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return policy, size - base, peak - base
+
+
+@pytest.mark.parametrize("via", ["file", "text"])
+def test_load_peak_stays_near_the_policy_size(via, standard_1000_text, tmp_path):
+    # the load peaks at 1.17x; holding the whole decoded document beside the
+    # graph read 1.9x, and keeping the file's bytes, the vertex entries, the
+    # hyperedge entries or the staged edges alone read 1.31x to 1.64x
+    path = tmp_path / "policy.json"
+    path.write_text(standard_1000_text, encoding="utf-8")
+    if via == "file":
+        policy, size, peak = _traced_load(serialize_mod.load_policy, str(path))
+    else:
+        policy, size, peak = _traced_load(loads_policy, standard_1000_text)
+    assert dumps_policy(policy) == standard_1000_text
+    assert peak < 1.25 * size, f"load peaked at {peak} B for a {size} B policy"
+
+
+def test_bulk_records_carry_no_instance_dict():
+    # a policy holds thousands of vertex and edge records and a pass thousands
+    # of answers and findings, so each record class declares slots
+    for cls in (Vertex, Hyperedge, AccessPath, AccessDecision, EscalationFinding,
+                OverPrivilegeFinding, PermissionSet):
+        assert "__dict__" not in vars(cls), cls.__name__
+
+
+LAST_ENTRY_CASES = [
+    ("vertex-kind", "vertices", "kind", "group", "{where}.kind: unknown vertex kind 'group'"),
+    ("vertex-duplicate-id", "vertices", "id", 0, "{where}: vertex id 0 already in use"),
+    ("edge-active", "hyperedges", "active", 1, "{where}.active: wrong type int"),
+    ("edge-member-unknown", "hyperedges", "members", [0, 10**6], "{where}: no vertex with id 1000000"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message", [c[1:] for c in LAST_ENTRY_CASES], ids=[c[0] for c in LAST_ENTRY_CASES]
+)
+def test_a_fault_in_the_last_entry_names_its_index(section, key, value, message, standard_1000_text):
+    # every earlier entry has been freed by the time the last one is checked
+    doc = json.loads(standard_1000_text)
+    last = len(doc[section]) - 1
+    doc[section][last][key] = value
+    with pytest.raises(SchemaError) as info:
+        loads_policy(json.dumps(doc))
+    assert str(info.value) == message.format(where=f"$.{section}[{last}]")
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each loader is fed mutations of a valid document: a value anywhere in the
 JSON tree replaced by arbitrary JSON or deleted, or a slice of its bytes
 overwritten. Whatever the loader makes of the input, nothing but a
-``PolicyError`` may escape.
+``PolicyError`` may escape. ``load_policy`` decodes a file's bytes itself,
+so it is fed the same inputs through a file.
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ import copy
 import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpam.core import ApprovalRequired, PolicyHypergraph, SameAccount, TimeWindow, VertexKind
-from hyperpam.errors import PolicyError
+from hyperpam.errors import ParseError, PolicyError
 from hyperpam.generator import EPOCH
 from hyperpam.ingest import parse_iam, to_hypergraph
-from hyperpam.serialize import constraint_to_obj, dumps_policy, loads_policy
+from hyperpam.serialize import constraint_to_obj, dumps_policy, load_policy, loads_policy
 
 FUZZ = settings(max_examples=150, deadline=timedelta(seconds=2))
 
@@ -105,14 +107,32 @@ def _only_policy_errors(load, data) -> None:
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
+POLICY_INPUTS = mutated(POLICY) | spliced(POLICY) | st.binary(max_size=32)
 
 
 @FUZZ
-@given(mutated(POLICY) | spliced(POLICY) | st.binary(max_size=32))
+@given(POLICY_INPUTS)
 @example(b"\x80{}")
 @example(DEEP)
 def test_loads_policy_raises_only_policy_errors(data):
     _only_policy_errors(loads_policy, data)
+
+
+@FUZZ
+@given(POLICY_INPUTS)
+@example(b"\x80{}")
+@example(DEEP)
+def test_load_policy_raises_only_policy_errors(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz-policy.json"
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    _only_policy_errors(load_policy, str(path))
+
+
+def test_load_policy_reads_invalid_utf8_as_a_parse_error(tmp_path):
+    path = tmp_path / "policy.json"
+    path.write_bytes(b"\x80{}")
+    with pytest.raises(ParseError):
+        load_policy(str(path))
 
 
 @FUZZ
