@@ -124,6 +124,8 @@ def _cmd_overprivileged(args) -> int:
 
 
 def _cmd_window(args) -> int:
+    if args.expiring_within < 0:
+        raise PolicyError(f"--expiring-within must be at least 0, got {args.expiring_within}")
     policy = load_policy(args.policy)
     report = attack_window_report(
         policy, _at_from_args(args), timedelta(seconds=args.expiring_within)

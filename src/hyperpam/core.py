@@ -352,8 +352,13 @@ class PolicyHypergraph:
         Only member existence is enforced here; run validate() to check the
         structural invariants.
         """
-        members = tuple(members)
-        self._require_vertices(members)
+        vertices, ids = self._vertices, []
+        try:
+            for vid in members:  # the vertex's own id object, not an equal copy
+                ids.append(vertices[vid].id)
+        except KeyError:
+            raise UnknownVertex(f"no vertex with id {vid}") from None
+        members = tuple(ids)
         if isinstance(perms, PermissionSet):
             mask = perms.mask
         else:

@@ -4,23 +4,23 @@ Escalation: a user that reaches a sensitive-tagged resource over a path
 crossing two or more distinct user attributes is chaining roles; one
 finding is reported per (user, target) with the shortest such path.
 
-Over-privilege: each grant a subject holds is compared against the masks
-ground truth requires, and any strict excess is a finding. Required masks
-may sit on resource attributes. A grant whose mask is already required on
-its target attribute (or on an attribute above it) leaves no excess on any
-resource below, so it is skipped without expansion. Only the remaining
-grants are expanded to resources, and the excess is reported per resource.
-A subject may inherit a role's requirement; then the role's grants are
-walked and checked once per pass, and each holder re-checks only the
-grants that exceed the role's own requirement.
+Over-privilege: a subject's excess on a resource is what its live grants
+give there beyond what ground truth requires there, and any non-empty
+excess is a finding. Required masks may sit on resource attributes, and a
+grant whose mask is already required on its target leaves no excess below
+it, so it is not expanded. A subject may inherit a role's requirement.
+Then the role's excess over its own requirement is computed once per pass,
+per resource, and each holder masks it with its own requirement.
 
 Cost: the paper states O(n log n) detection. Every pass must read every
 edge, and edges can grow faster than n (as n^1.5 on the sqrt-grouping
 profile), so the honest form of that claim is "linear in policy size"
 (vertices plus edges) when findings are few. The escalation pass ascends
-from each directly held role once per pass; the over-privilege pass is
-linear when users inherit their roles' requirements, as the generator's
-ledger has them do.
+from each user attribute a user is assigned to once per pass. The
+over-privilege pass walks each inherited role once per pass, and a holder
+costs its assignments plus one requirement lookup per resource in its
+roles' excess, so it is linear when users inherit their roles'
+requirements, as the generator's ledger has them do.
 
 Attack window: time-window constraints give every just-in-time grant a
 hard expiry; expired edges can be reported or revoked in one removal each,
@@ -33,10 +33,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Callable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .core import (
-    HyperedgeKind,
     PolicyHypergraph,
     TimeWindow,
     VertexId,
@@ -100,11 +99,10 @@ class RequiredPermissions:
 
     ``inherits`` maps a subject to subjects whose requirement it also has,
     one level deep: s requires, on every vertex, the OR of its own entries
-    and the requirement of each subject in ``inherits[s]``. Keys and listed
+    and the entries of each subject in ``inherits[s]``. Keys and listed
     subjects must be subjects of ``by_subject``, and a listed subject may
-    not inherit in turn. A user that inherits its roles lets the
-    over-privilege pass check each role's grants once per pass instead of
-    once per holder.
+    not inherit in turn. The over-privilege pass computes a listed
+    subject's excess once per pass and shares it with every holder.
     """
 
     by_subject: dict[VertexId, dict[VertexId, int]]
@@ -131,8 +129,9 @@ def detect_escalations(
     that crosses two or more user attributes, ties broken by the smallest
     edge-id sequence. This holds on cyclic role hierarchies too, which
     ``PolicyHypergraph.validate`` accepts. Findings are ordered by (user id,
-    path length, edge ids, target). Each role a user holds directly is
-    ascended once per pass, and what it reaches is shared by its holders.
+    path length, edge ids, target). Each user attribute a user is assigned
+    to is ascended once per pass, and the paths it starts are shared by all
+    its holders.
     """
     tag_key, tag_value = sensitive_tag
     if not tag_key or not tag_value:
@@ -155,15 +154,13 @@ def detect_escalations(
                 sensitive[m] = {m: ((), (m,))} if kind is VertexKind.RESOURCE and tagged(m) else {}
         return sensitive[m]
 
-    # role -> {sensitive resource: (length from a holder, edges, vertices)}
-    # over paths that start at the role and cross one more user attribute
-    role_hits: dict[VertexId, dict] = {}
-
-    def chained_from(role: VertexId):
-        best = role_hits.get(role)
-        if best is not None:
+    def chained_from(role: VertexId) -> dict:
+        """{sensitive resource: (length from a holder, edges, vertices, chained
+        user attributes)} over the paths that start at ``role``, a user
+        attribute, and cross one more user attribute."""
+        best: dict = {}
+        if policy.vertex(role).kind is not VertexKind.USER_ATTR:
             return best
-        best = role_hits[role] = {}
         dist, up = _ascend(policy, role, ctx, max_depth - 1, _Counter())
         for w, k in dist.items():
             if not k:
@@ -185,32 +182,41 @@ def detect_escalations(
                         cur = best.get(rid)
                         if cur is None or cand[:2] < cur[:2]:
                             best[rid] = cand
+        for rid, (total, edges, verts) in best.items():
+            chained = tuple(
+                v for v in verts if policy.vertex(v).kind is VertexKind.USER_ATTR
+            )
+            best[rid] = (total, edges, verts, chained)
         return best
 
+    # every role a user is assigned to -> chained_from(role), once per pass
+    role_hits: dict[VertexId, dict] = {}
     findings: list[EscalationFinding] = []
     for uid in sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER)):
-        best: dict[VertexId, tuple[int, tuple[int, ...], tuple[VertexId, ...]]] = {}
+        # target -> (the role's hit, the user's assignment edge to the role)
+        best: dict[VertexId, tuple] = {}
         for eid, role in policy.assignments_from(uid):
+            hits = role_hits.get(role)
+            if hits is None:
+                hits = role_hits[role] = chained_from(role)
+            if not hits:
+                continue
             edge = policy.edge(eid)
             if not edge.active or not edge_satisfied(policy, edge, ctx):
                 continue
-            if policy.vertex(role).kind is not VertexKind.USER_ATTR:
-                continue
-            for rid, (total, edges, verts) in chained_from(role).items():
-                cand = (total, (eid,) + edges)
+            for rid, hit in hits.items():
                 cur = best.get(rid)
-                if cur is None or cand < cur[:2]:
-                    best[rid] = cand + ((uid,) + verts,)
-
-        for rid in sorted(best):
-            total, eseq, vseq = best[rid]
-            path = AccessPath(vseq, eseq)
-            chained = tuple(
-                v for v in vseq if policy.vertex(v).kind is VertexKind.USER_ATTR
-            )
-            findings.append(EscalationFinding(uid, path, chained, rid))
-
-    findings.sort(key=lambda f: (f.user, len(f.path.edges), f.path.edges, f.target))
+                # (length, edge ids) order, where the user's edge comes first
+                if cur is None or (hit[0], eid, hit[1]) < (cur[0][0], cur[1], cur[0][1]):
+                    best[rid] = (hit, eid)
+        if not best:
+            continue
+        # users come in id order, so sorting each user's findings orders them all
+        for _, eid, _, rid, hit in sorted(
+            (hit[0], eid, hit[1], rid, hit) for rid, (hit, eid) in best.items()
+        ):
+            path = AccessPath((uid,) + hit[2], (eid,) + hit[1])
+            findings.append(EscalationFinding(uid, path, hit[3], rid))
     return findings
 
 
@@ -222,21 +228,21 @@ def detect_over_privileged(
 ) -> list[OverPrivilegeFinding]:
     """Subjects whose effective permissions strictly exceed the required facts.
 
-    Every resource below attribute a requires at least the entries on a and
-    on a's ancestors, and a depth budget only removes resources, so a grant
-    on a whose mask those entries cover is skipped. Other grants are
-    expanded to the resources below them.
+    A grant reaches the resources below its target within its depth budget.
+    The requirement on a resource includes the requirement on every
+    attribute it ascends to, so a grant whose mask the requirement on its
+    target covers is not expanded.
 
-    A subject s that inherits h and holds h through a live direct
-    assignment gets h's grants from one walk of h per pass, one hop shorter,
-    filtered to the grants that exceed h's own requirement: s requires at
-    least what h requires on every vertex, so a grant h's requirement covers
-    is covered for s too. Every other grant (s's own associations, and the
-    walks of heads s holds but does not inherit) is checked against s's
-    requirement directly. When every user inherits the roles it holds, a
-    pass walks each role at most twice (as a subject and as a head), and
-    each user costs its assignments plus the role grants it re-checks, so
-    the pass is linear in policy size when findings are few.
+    Each subject h that another subject inherits is walked once per pass.
+    The walk checks h itself and, with every budget one hop shorter, gives
+    h's excess over its own requirement per resource. A subject s that
+    inherits h and holds it through a live direct assignment masks that
+    excess with its own requirement on each resource. This is exact: s
+    requires at least what h requires, and a resource below a grant's
+    target requires at least what the target does. Every other grant of s
+    (its own associations, and the walks of heads it holds but does not
+    inherit) is checked against s's requirement directly. Findings with the
+    same excess mask share one ``PermissionSet``.
     """
     by_subject, inherits = ground_truth.by_subject, ground_truth.inherits
     for subject in sorted(by_subject):
@@ -268,72 +274,27 @@ def detect_over_privileged(
     # v -> v plus every resource attribute it ascends to, with no depth limit
     lineages: dict[VertexId, tuple[VertexId, ...]] = {}
 
-    def need_of(
-        subject: VertexId, parents: list[Callable[[VertexId], int]]
-    ) -> Callable[[VertexId], int]:
-        """v -> OR of the subject's entries on v and on everything v ascends
-        to, and of each parent's need on v."""
-        required = by_subject[subject]
-        required_up: dict[VertexId, int] = {}
-
-        def need(v: VertexId) -> int:
-            mask = required_up.get(v)
-            if mask is None:
-                mask = 0
-                if required:
-                    line = lineages.get(v)
-                    if line is None:
-                        line = lineages[v] = tuple(
-                            _ascend(policy, v, ctx, math.inf, _Counter())[0]
-                        )
-                    for a in line:
-                        mask |= required.get(a, 0)
-                for parent in parents:
-                    mask |= parent(v)
-                required_up[v] = mask
-            return mask
-
-        return need
-
-    # kept for the whole pass, since every holder of a head reads its need
-    heads = {h for hs in inherits.values() for h in hs}
-    head_needs = {h: need_of(h, []) for h in heads}
-
-    # inherited head -> its grants one hop up that exceed its own requirement
-    head_grants: dict[VertexId, list[tuple[VertexId, int, int]]] = {}
-
-    def grants_of(subject: VertexId) -> Iterator[tuple[VertexId, int, int]]:
-        if not inherits.get(subject):
-            yield from live_grants(policy, subject, ctx, max_depth)
-            return
-        yield from _grants_at(policy, subject, ctx, max_depth - 1)
-        mine = set(inherits[subject])
-        held = set()
-        for eid, h in policy.assignments_from(subject):
-            edge = policy.edge(eid)
-            if edge.active and edge_satisfied(policy, edge, ctx):
-                held.add(h)
-        for h in held:
-            if h not in mine:
-                yield from live_grants(policy, h, ctx, max_depth - 1)
-                continue
-            if h not in head_grants:
-                need_h = head_needs[h]
-                head_grants[h] = [
-                    g for g in live_grants(policy, h, ctx, max_depth - 1)
-                    if g[2] & ~need_h(g[0])
-                ]
-            yield from head_grants[h]
+    def need(entries: dict[VertexId, int], v: VertexId) -> int:
+        """OR of ``entries`` on v and on every attribute v ascends to."""
+        if not entries:
+            return 0
+        line = lineages.get(v)
+        if line is None:
+            line = lineages[v] = tuple(_ascend(policy, v, ctx, math.inf, _Counter())[0])
+        mask = 0
+        for a in line:
+            mask |= entries.get(a, 0)
+        return mask
 
     below_memo: dict = {}
-    findings: list[OverPrivilegeFinding] = []
-    for subject in sorted(by_subject):
-        need = head_needs.get(subject)
-        if need is None:
-            need = need_of(subject, [head_needs[h] for h in inherits.get(subject, ())])
+
+    def excess_of(
+        grants: Iterable[tuple[VertexId, int, int]], entries: dict[VertexId, int]
+    ) -> dict[VertexId, int]:
+        """Per resource, the OR of the grants' masks beyond what ``entries`` require."""
         excess: dict[VertexId, int] = {}
-        for target, budget, mask in grants_of(subject):
-            if not mask & ~need(target):
+        for target, budget, mask in grants:
+            if not mask & ~need(entries, target):
                 continue
             if policy.vertex(target).kind is VertexKind.RESOURCE:
                 below = {target: 0}
@@ -341,16 +302,71 @@ def detect_over_privileged(
                 below = _descend(policy, target, ctx, below_memo)[0]
             for rid, rd in below.items():
                 if rd <= budget:
-                    extra = mask & ~need(rid)
+                    extra = mask & ~need(entries, rid)
+                    if extra:
+                        excess[rid] = excess.get(rid, 0) | extra
+        return excess
+
+    # subject that inherits nothing -> its live grants, walked once for its
+    # own check and, one hop shorter, for its holders'
+    walks: dict[VertexId, list[tuple[VertexId, int, int]]] = {}
+
+    def grants_of(s: VertexId) -> list[tuple[VertexId, int, int]]:
+        if s not in walks:
+            walks[s] = list(live_grants(policy, s, ctx, max_depth))
+        return walks[s]
+
+    # inherited head -> its per-resource excess over its one-hop-shorter walk
+    head_excess: dict[VertexId, dict[VertexId, int]] = {}
+    # one shared PermissionSet per distinct excess mask
+    sets: dict[int, PermissionSet] = {}
+    findings: list[OverPrivilegeFinding] = []
+    for subject in sorted(by_subject):
+        mine = inherits.get(subject)
+        if not mine:
+            excess = excess_of(grants_of(subject), by_subject[subject])
+        else:
+            grants = list(_grants_at(policy, subject, ctx, max_depth - 1))
+            shared = []
+            held = set()
+            for eid, h in policy.assignments_from(subject):
+                if h in mine:
+                    if h not in head_excess:
+                        # the walk one hop shorter: budgets drop by one
+                        head_excess[h] = excess_of(
+                            ((t, b - 1, m) for t, b, m in grants_of(h) if b), by_subject[h]
+                        )
+                    if not head_excess[h]:
+                        continue  # nothing of h's to check, whether h is held or not
+                edge = policy.edge(eid)
+                if edge.active and edge_satisfied(policy, edge, ctx):
+                    held.add(h)
+            for h in held:
+                if h in mine:
+                    shared.append(head_excess[h])
+                else:
+                    grants.extend(live_grants(policy, h, ctx, max_depth - 1))
+            if not grants and not shared:
+                continue
+            entries = dict(by_subject[subject])
+            for h in mine:
+                for a, m in by_subject[h].items():
+                    entries[a] = entries.get(a, 0) | m
+            excess = excess_of(grants, entries)
+            for per_rid in shared:
+                for rid, m in per_rid.items():
+                    extra = m & ~need(entries, rid)
                     if extra:
                         excess[rid] = excess.get(rid, 0) | extra
         if excess:
-            uni = policy.universe
-            findings.append(
-                OverPrivilegeFinding(
-                    subject, {r: PermissionSet(uni, excess[r]) for r in sorted(excess)}
-                )
-            )
+            out = {}
+            for rid in sorted(excess):
+                mask = excess[rid]
+                pset = sets.get(mask)
+                if pset is None:
+                    pset = sets[mask] = PermissionSet(policy.universe, mask)
+                out[rid] = pset
+            findings.append(OverPrivilegeFinding(subject, out))
     return findings
 
 
@@ -368,7 +384,7 @@ def attack_window_report(
     now = as_utc(now)
     report = AttackWindowReport(now=now, horizon=expiring_within)
     for edge in policy.edges():
-        if not edge.active:
+        if not edge.active or not edge.constraints:
             continue
         end = _edge_expiry(edge)
         if end is None:

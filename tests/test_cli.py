@@ -293,6 +293,17 @@ def test_bad_depth_or_sensitive_tag_exits_2(
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("within,code", [("-100", 2), ("-1", 2), ("0", 0)])
+def test_window_negative_horizon_exits_2(fixture_policy_path, capsys, within, code):
+    argv = ["window", "--policy", fixture_policy_path, "--at", AT, "--expiring-within", within]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == "" and "error: --expiring-within" in err and "Traceback" not in err
+    else:
+        assert err == ""
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["check", "--user", "Alice"])  # missing required flags

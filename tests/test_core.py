@@ -612,7 +612,7 @@ def _traced_load(load, arg):
 
 @pytest.mark.parametrize("via", ["file", "text"])
 def test_load_peak_stays_near_the_policy_size(via, standard_1000_text, tmp_path):
-    # the load peaks at 1.17x; holding the whole decoded document beside the
+    # the load peaks at 1.23x; holding the whole decoded document beside the
     # graph read 1.9x, and keeping the file's bytes, the vertex entries, the
     # hyperedge entries or the staged edges alone read 1.31x to 1.64x
     path = tmp_path / "policy.json"
@@ -623,6 +623,17 @@ def test_load_peak_stays_near_the_policy_size(via, standard_1000_text, tmp_path)
         policy, size, peak = _traced_load(loads_policy, standard_1000_text)
     assert dumps_policy(policy) == standard_1000_text
     assert peak < 1.25 * size, f"load peaked at {peak} B for a {size} B policy"
+
+
+def test_loaded_members_are_the_vertices_own_ids(standard_1000_text, tmp_path):
+    # json makes a new int for every number above 256, so a member id that is
+    # not the vertex's own object is a second copy of it
+    path = tmp_path / "policy.json"
+    path.write_text(standard_1000_text, encoding="utf-8")
+    policy = serialize_mod.load_policy(str(path))
+    members = [m for e in policy.edges() for m in e.members]
+    assert max(members) > 256
+    assert all(m is policy.vertex(m).id for m in members)
 
 
 def test_bulk_records_carry_no_instance_dict():

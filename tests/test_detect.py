@@ -126,10 +126,11 @@ def test_over_privilege_excess_exact(monkeypatch):
     expanded = _count_expansions(monkeypatch)
     findings = detect_over_privileged(policy, required, CTX)
     record = gt.excess[0]
-    # only the injected grant is expanded: once for its role, once per user holding it
+    # only the injected grant is expanded: once for its role as a subject and
+    # once for the role's one-hop-shorter excess, which every holder shares
     holders = [u for u, roles in gt.user_roles.items() if record.role in roles]
     assert holders
-    assert expanded == [record.type_id] * (1 + len(holders))
+    assert expanded == [record.type_id] * 2
     by_subject = {f.subject: f for f in findings}
     assert record.role in by_subject
     fnd = by_subject[record.role]
@@ -138,6 +139,63 @@ def test_over_privilege_excess_exact(monkeypatch):
     # excess facts never overlap intended ones
     for rid, pset in fnd.excess.items():
         assert pset.mask & ~record.mask == 0
+
+
+def test_over_privilege_expansions_do_not_grow_with_holders(monkeypatch):
+    cfg = GenConfig(
+        n_users=30, n_roles=6, n_resources=40, injected_chains=0, injected_excess=1, seed=5
+    )
+    policy, gt = generate(cfg)
+    required = gt.required_permissions(CTX)
+    expanded = _count_expansions(monkeypatch)
+    before = detect_over_privileged(policy, required, CTX)
+    once = list(expanded)
+
+    # nine clones of every user, each assigned as its original is
+    by_subject, inherits = dict(required.by_subject), dict(required.inherits)
+    clone_of = {}
+    for uid in sorted(gt.user_roles):
+        user = policy.vertex(uid)
+        for k in range(9):
+            clone = policy.add_vertex(VertexKind.USER, f"{user.name}~{k}", user.account)
+            for eid, role in policy.assignments_from(uid):
+                edge = policy.edge(eid)
+                policy.add_raw_hyperedge(
+                    edge.kind, (clone, role), (), edge.constraints, edge.active
+                )
+            by_subject[clone] = by_subject[uid]
+            inherits[clone] = inherits[uid]
+            clone_of[clone] = uid
+    assert not policy.validate()
+    expanded.clear()
+    after = detect_over_privileged(policy, RequiredPermissions(by_subject, inherits), CTX)
+    assert expanded == once
+    excess = {f.subject: f.excess for f in before}
+    assert any(s in gt.user_roles for s in excess), "holders must have findings"
+    assert len(after) == len(before) + 9 * sum(s in gt.user_roles for s in excess)
+    for f in after:
+        assert f.excess == excess[clone_of.get(f.subject, f.subject)]
+
+
+def test_escalation_pass_ascends_each_held_role_once(monkeypatch):
+    policy, gt = generate(config_for_scale(500, seed=1234))
+    starts = []
+    real = detect_mod._ascend
+
+    def counting(policy, start, ctx, max_depth, count):
+        starts.append(start)
+        return real(policy, start, ctx, max_depth, count)
+
+    monkeypatch.setattr(detect_mod, "_ascend", counting)
+    findings = detect_escalations(policy, ("env", "production"), gt.context_for(0))
+    assert findings
+    held = {
+        role
+        for user in policy.vertices_of_kind(VertexKind.USER)
+        for _, role in policy.assignments_from(user.id)
+        if policy.vertex(role).kind is VertexKind.USER_ATTR
+    }
+    assert sorted(starts) == sorted(held)
 
 
 def test_over_privilege_no_finding_when_granted_equals_required(monkeypatch):
