@@ -16,8 +16,10 @@ come in two kinds:
 
 Constraints (same-account, time-window, approval-required) attach to
 hyperedges; queries carry the runtime facts that decide them. The graph
-keeps an exact vertex->hyperedge incidence index plus directed assignment
-adjacency, and removing one hyperedge revokes every path through it at a
+keeps one exact index per relation the walks follow: assignments out of and
+into each vertex, and the associations each vertex is a member of. A
+vertex's incident edges are the union of the three, so no fourth index
+repeats them. Removing one hyperedge revokes every path through it at a
 cost proportional only to the edge's own member count.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from types import MappingProxyType
 from typing import ItemsView, Iterable, Iterator, KeysView, Optional, Union
 
 from .errors import (
@@ -157,6 +160,20 @@ class Violation:
         return f"{self.rule}({self.subject}): {self.detail}"
 
 
+# Every vertex with no entries in an index points at this one empty mapping,
+# so a policy does not hold thousands of empty dicts. _own_entries swaps in a
+# fresh dict before the first insert; the mapping is read-only, so a write
+# that skips _own_entries raises instead of reaching every empty vertex.
+_NO_ENTRIES: MappingProxyType = MappingProxyType({})
+
+
+def _own_entries(index: dict, vid: VertexId) -> dict:
+    adj = index[vid]
+    if adj is _NO_ENTRIES:
+        adj = index[vid] = {}
+    return adj
+
+
 def _sort_by_id(adj: dict) -> None:
     items = sorted(adj.items())
     adj.clear()
@@ -164,7 +181,7 @@ def _sort_by_id(adj: dict) -> None:
 
 
 class PolicyHypergraph:
-    """Vertex/hyperedge store with exact incidence indexing.
+    """Vertex/hyperedge store with one exact index per traversed relation.
 
     Mutation requires exclusive access; once built, the structure may be
     read concurrently from any number of threads.
@@ -178,7 +195,6 @@ class PolicyHypergraph:
         )
         self._vertices: dict[VertexId, Vertex] = {}
         self._edges: dict[HyperedgeId, Hyperedge] = {}
-        self._incidence: dict[VertexId, set[HyperedgeId]] = {}
         self._name_index: dict[tuple[VertexKind, str], VertexId] = {}
         # Assignment adjacency (edge id -> neighbour) and per-vertex association
         # ids (edge id -> None), all in ascending id order, keep traversal from
@@ -186,6 +202,9 @@ class PolicyHypergraph:
         self._assign_out: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
         self._assign_in: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
         self._assoc_incidence: dict[VertexId, dict[HyperedgeId, None]] = {}
+        # assignments without two members: validate() reports them and no walk
+        # follows them, so they are kept here rather than in the adjacency
+        self._misshapen: set[HyperedgeId] = set()
         self._next_vertex_id = 0
         self._next_edge_id = 0
 
@@ -214,10 +233,7 @@ class PolicyHypergraph:
             raise DuplicateName(f"vertex id {vid} already in use")
         self._next_vertex_id = max(self._next_vertex_id, vid + 1)
         self._vertices[vid] = Vertex(vid, kind, name, account, dict(tags or {}))
-        self._incidence[vid] = set()
-        self._assign_out[vid] = {}
-        self._assign_in[vid] = {}
-        self._assoc_incidence[vid] = {}
+        self._assign_out[vid] = self._assign_in[vid] = self._assoc_incidence[vid] = _NO_ENTRIES
         self._name_index[key] = vid
         return vid
 
@@ -255,21 +271,19 @@ class PolicyHypergraph:
     def _new_edge(self, edge: Hyperedge) -> HyperedgeId:
         eid, members = edge.id, edge.members
         self._edges[eid] = edge
-        if edge.kind is HyperedgeKind.ASSIGNMENT and len(members) == 2:
+        if edge.kind is HyperedgeKind.ASSIGNMENT:
+            if len(members) != 2:
+                self._misshapen.add(eid)
+                return eid
             tail, head = members
-            self._incidence[tail].add(eid)
-            self._incidence[head].add(eid)
-            out, into = self._assign_out[tail], self._assign_in[head]
+            out = _own_entries(self._assign_out, tail)
+            into = _own_entries(self._assign_in, head)
             out[eid] = head
             into[eid] = tail
             touched = (out, into)
         else:
-            distinct = set(members)
-            for vid in distinct:
-                self._incidence[vid].add(eid)
-            if edge.kind is HyperedgeKind.ASSIGNMENT:
-                return eid  # not two members: validate() reports it, and no walk follows it
-            touched = [self._assoc_incidence[vid] for vid in distinct]
+            index = self._assoc_incidence
+            touched = [_own_entries(index, vid) for vid in set(members)]
             for ids in touched:
                 ids[eid] = None
         if eid + 1 < self._next_edge_id:  # an older id, via add_raw_hyperedge
@@ -399,26 +413,28 @@ class PolicyHypergraph:
         """
         edge = self.edge(eid)
         del self._edges[eid]
-        for vid in set(edge.members):
-            self._incidence[vid].discard(eid)
         if edge.kind is HyperedgeKind.ASSOCIATION:
             for vid in set(edge.members):
                 del self._assoc_incidence[vid][eid]
-        elif len(edge.members) == 2:  # see _new_edge
+        elif len(edge.members) == 2:
             del self._assign_out[edge.tail][eid]
             del self._assign_in[edge.head][eid]
+        else:
+            self._misshapen.remove(eid)
 
     def set_active(self, eid: HyperedgeId, active: bool) -> None:
         self.edge(eid).active = bool(active)
 
     def incident_edges(self, vid: VertexId, live_only: bool = True) -> set[HyperedgeId]:
-        """Ids of hyperedges whose member set includes ``vid``."""
+        """Ids of hyperedges whose member set includes ``vid``: the union of its
+        three indexes, plus any assignment without two members that lists it."""
         if vid not in self._vertices:
             raise UnknownVertex(f"no vertex with id {vid}")
-        ids = self._incidence[vid]
+        ids = {*self._assign_out[vid], *self._assign_in[vid], *self._assoc_incidence[vid]}
+        ids.update(e for e in self._misshapen if vid in self._edges[e].members)
         if live_only:
             return {e for e in ids if self._edges[e].active}
-        return set(ids)
+        return ids
 
     # internal, unchecked accessors for the traversal hot path (ascending edge ids)
     def assignments_from(self, vid: VertexId) -> ItemsView[HyperedgeId, VertexId]:
@@ -434,41 +450,51 @@ class PolicyHypergraph:
     # validation
     # ------------------------------------------------------------------
     def validate(self) -> list[Violation]:
-        """Check every structural invariant; an empty list means well-formed."""
+        """Check every structural invariant; an empty list means well-formed.
+
+        The three indexes the walks read must hold exactly what the edges
+        imply: (edge, head) out of each two-member assignment's tail, (edge,
+        tail) into its head, and each association at each of its members.
+        """
         out: list[Violation] = []
-        vertices, incidence = self._vertices, self._incidence
-        # The index is exact iff it holds every (member, edge) pair and has
-        # no more entries than there are pairs. Only when it is not does
-        # _incidence_violations scan it both ways to say what is wrong.
-        pairs = 0
+        vertices, assign_out, assign_in = self._vertices, self._assign_out, self._assign_in
+        assoc = self._assoc_incidence
+        # The indexes are exact iff they hold every entry the edges imply and
+        # no more entries than that. Only when they do not does
+        # _index_violations scan them both ways to say what is wrong.
+        entries = 0
         indexed = True
         for eid, edge in self._edges.items():
             members = edge.members
-            # a plain assignment (most edges) needs only this one test
-            if (
-                edge.kind is HyperedgeKind.ASSIGNMENT
-                and len(members) == 2
-                and not edge.perm_mask
-                and not edge.constraints
-            ):
+            if edge.kind is HyperedgeKind.ASSIGNMENT and len(members) == 2:
                 tail, head = members
                 from_v, to_v = vertices.get(tail), vertices.get(head)
+                # a plain assignment (most edges) needs only this one test
                 if (
-                    from_v is not None
-                    and to_v is not None
-                    and tail != head
-                    and (from_v.kind._value_, to_v.kind._value_) in _ASSIGNMENT_VALUE_PAIRS
+                    edge.perm_mask
+                    or edge.constraints
+                    or from_v is None
+                    or to_v is None
+                    or tail == head
+                    or (from_v.kind._value_, to_v.kind._value_) not in _ASSIGNMENT_VALUE_PAIRS
                 ):
-                    pairs += 2
-                    indexed = indexed and eid in incidence[tail] and eid in incidence[head]
-                    continue
+                    self._edge_violations(eid, edge, out)
+                entries += 2
+                indexed = (
+                    indexed
+                    and assign_out[tail].get(eid) == head
+                    and assign_in[head].get(eid) == tail
+                )
+                continue
             self._edge_violations(eid, edge, out)
-            for vid in set(members):
-                if vid in vertices:
-                    pairs += 1
-                    indexed = indexed and eid in incidence[vid]
-        if not indexed or pairs != sum(map(len, incidence.values())):
-            self._incidence_violations(out)
+            if edge.kind is HyperedgeKind.ASSOCIATION:
+                for vid in set(members):
+                    entries += 1
+                    indexed = indexed and eid in assoc[vid]
+        if not indexed or entries != sum(
+            sum(map(len, index.values())) for index in (assign_out, assign_in, assoc)
+        ):
+            self._index_violations(out)
         return out
 
     def _edge_violations(self, eid: HyperedgeId, edge: Hyperedge, out: list[Violation]) -> None:
@@ -556,26 +582,30 @@ class PolicyHypergraph:
                     Violation("BadTimeWindow", subject, "start must precede end")
                 )
 
-    def _incidence_violations(self, out: list[Violation]) -> None:
-        """Report incidence entries that are wrong or missing, scanning both ways."""
-        for vid, ids in self._incidence.items():
-            for eid in ids:
-                edge = self._edges.get(eid)
-                if edge is None or vid not in edge.members:
-                    out.append(
-                        Violation(
-                            "IncidenceMismatch",
-                            f"vertex:{vid}",
-                            f"incidence lists edge {eid} which does not contain it",
-                        )
-                    )
+    def _index_violations(self, out: list[Violation]) -> None:
+        """Report index entries that are wrong or missing, scanning both ways."""
+        want = {}  # (index name, vertex, edge id) -> the entry's value
         for eid, edge in self._edges.items():
-            for vid in set(edge.members):
-                if vid in self._vertices and eid not in self._incidence[vid]:
-                    out.append(
-                        Violation(
-                            "IncidenceMismatch",
-                            f"vertex:{vid}",
-                            f"member of edge {eid} but incidence entry is missing",
-                        )
-                    )
+            if edge.kind is HyperedgeKind.ASSOCIATION:
+                for vid in set(edge.members):
+                    want["association", vid, eid] = None
+            elif len(edge.members) == 2:
+                tail, head = edge.members
+                want["out-assignment", tail, eid] = head
+                want["in-assignment", head, eid] = tail
+        indexes = {
+            "out-assignment": self._assign_out,
+            "in-assignment": self._assign_in,
+            "association": self._assoc_incidence,
+        }
+        for name, index in indexes.items():
+            for vid, adj in index.items():
+                for eid, value in adj.items():
+                    if ((name, vid, eid), value) not in want.items():
+                        detail = f"{name} index lists edge {eid}, which does not match it"
+                        out.append(Violation("IncidenceMismatch", f"vertex:{vid}", detail))
+        for (name, vid, eid), value in want.items():
+            # a dangling member is reported as such, not as a missing entry
+            if vid in self._vertices and (eid, value) not in indexes[name][vid].items():
+                detail = f"{name} index lacks edge {eid} or has it wrong"
+                out.append(Violation("IncidenceMismatch", f"vertex:{vid}", detail))

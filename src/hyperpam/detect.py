@@ -55,7 +55,7 @@ from .engine import (
     effective_permission_map,  # noqa: F401 - perfbench/tracing.py wraps it under this module
     live_grants,
 )
-from .errors import GroundTruthMismatch
+from .errors import GroundTruthMismatch, UnknownVertex
 from .perm import PermissionSet
 
 
@@ -245,29 +245,32 @@ def detect_over_privileged(
     same excess mask share one ``PermissionSet``.
     """
     by_subject, inherits = ground_truth.by_subject, ground_truth.inherits
-    for subject in sorted(by_subject):
-        if not policy.has_vertex(subject):
-            raise GroundTruthMismatch(f"ground truth names unknown vertex {subject}")
-        for rid in by_subject[subject]:
-            if not policy.has_vertex(rid):
-                raise GroundTruthMismatch(f"ground truth names unknown vertex {rid}")
-            kind = policy.vertex(rid).kind
-            if kind not in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
-                raise GroundTruthMismatch(
-                    f"required key {rid} is a {kind.value}, "
-                    "wants resource or resource attribute"
-                )
-        kind = policy.vertex(subject).kind
-        if kind not in (VertexKind.USER, VertexKind.USER_ATTR):
+    vertex = policy.vertex
+    subjects = sorted(by_subject)
+    for subject in subjects:
+        try:
+            subject_kind = vertex(subject).kind
+            for rid in by_subject[subject]:
+                kind = vertex(rid).kind
+                if kind not in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
+                    raise GroundTruthMismatch(
+                        f"required key {rid} is a {kind.value}, "
+                        "wants resource or resource attribute"
+                    )
+        except UnknownVertex:
+            unknown = next(v for v in (subject, *by_subject[subject]) if not policy.has_vertex(v))
+            raise GroundTruthMismatch(f"ground truth names unknown vertex {unknown}") from None
+        if subject_kind not in (VertexKind.USER, VertexKind.USER_ATTR):
             raise GroundTruthMismatch(
-                f"subject {subject} is a {kind.value}, wants user or user attribute"
+                f"subject {subject} is a {subject_kind.value}, wants user or user attribute"
             )
     # every by_subject key is a known user or user attribute by now
     for subject in sorted(inherits):
-        for v in (subject, *inherits[subject]):
+        heads = inherits[subject]
+        for v in (subject, *heads):
             if v not in by_subject:
                 raise GroundTruthMismatch(f"inherits names {v}, which is not a subject")
-        for h in inherits[subject]:
+        for h in heads:
             if inherits.get(h):
                 raise GroundTruthMismatch(f"{subject} inherits {h}, which inherits in turn")
 
@@ -321,7 +324,7 @@ def detect_over_privileged(
     # one shared PermissionSet per distinct excess mask
     sets: dict[int, PermissionSet] = {}
     findings: list[OverPrivilegeFinding] = []
-    for subject in sorted(by_subject):
+    for subject in subjects:
         mine = inherits.get(subject)
         if not mine:
             excess = excess_of(grants_of(subject), by_subject[subject])

@@ -18,11 +18,12 @@ What a load costs: a standard n=4000 policy (6,416 vertices, 16,549
 hyperedges, 2.4 MB) loads in 0.12-0.29 s with CPython 3.11 on a shared 2-vCPU
 box, depending on what else runs on it. About a quarter of that is JSON
 decoding, a seventh is validate(), and the rest is building the vertex, edge
-and index objects. Its traced memory peaks at 18.1 MB for a 14.9 MB graph
-(1.21x): load_policy frees the file's bytes and the decoded text before the
-build starts, and the build drops each entry of the 14.4 MB decoded document
-once it is added. The peak comes at the end of the vertex pass, while every
-hyperedge entry is still held.
+and index objects. The loaded graph holds 9.9 MB (traced), less than the
+14.4 MB decoded document. load_policy's traced memory peaks at 16.7 MB
+(1.16x the document) at the end of JSON decoding, while the text and the
+whole document are alive: it frees the file's bytes and the text before the
+build starts, and the build drops each entry of the document once it is
+added, so the build stays below that peak.
 
 The load allocates ~100k containers and creates no reference cycles, so the
 cyclic garbage collector is paused for it. Left on, it ran ~250 young, 23
