@@ -45,7 +45,6 @@ from .generator import (
     GroundTruth,
     config_for_scale,
     generate,
-    inject_escalation_chain,
     make_fixture_usecase,
 )
 from .ingest import IamDocument, parse_iam, to_hypergraph

@@ -252,9 +252,6 @@ class PolicyHypergraph:
         except KeyError:
             raise UnknownVertex(f"no {kind.value} named {name!r}") from None
 
-    def find_vertex(self, kind: VertexKind, name: str) -> Optional[VertexId]:
-        return self._name_index.get((kind, name))
-
     def vertices(self) -> Iterator[Vertex]:
         return iter(self._vertices.values())
 

@@ -20,6 +20,12 @@ Two profiles:
   size study. Groups stand in for roles and types, so the role, type,
   constraint and injection settings are ignored.
 
+Both profiles and the fixture share one private builder, ``_Draft``. Each of
+its steps adds a resource, a user or a grant to the policy together with its
+ledger rows, or injects a violation together with its record. Only the
+injections draw from the random stream they are given; each profile makes
+its other draws itself, in its own order, before the step that uses them.
+
 In the standard profile and the fixture, injected violations keep
 attribution exact by construction: escalation chains land on reserved
 grant-free elevated roles and target production types that ordinary grants
@@ -49,7 +55,7 @@ from .core import (
 from .detect import RequiredPermissions
 from .engine import EvaluationContext
 from .errors import ConfigInvalid, InsufficientEntities, SchemaError, UnknownPermission
-from .perm import PermissionUniverse
+from .perm import PermissionSet, PermissionUniverse
 from .rng import Rng, zipf_sample
 from .serialize import _decode, _expect, parse_rfc3339
 
@@ -206,13 +212,13 @@ class GroundTruth:
     resource_types: dict[VertexId, tuple[VertexId, ...]]
     chains: list[ChainRecord] = field(default_factory=list)
     excess: list[ExcessRecord] = field(default_factory=list)
-    _grants_by_role: dict[VertexId, list[Grant]] = field(default_factory=dict)
+    _grants_by_role: dict[VertexId, list[Grant]] = field(init=False, compare=False)
     resources_by_type: dict[VertexId, tuple[VertexId, ...]] = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not self._grants_by_role:
-            for g in self.grants:
-                self._grants_by_role.setdefault(g.role, []).append(g)
+        self._grants_by_role = {}
+        for g in self.grants:
+            self._grants_by_role.setdefault(g.role, []).append(g)
         by_type: dict[VertexId, list[VertexId]] = {}
         for rid, types in self.resource_types.items():
             for tid in types:
@@ -370,6 +376,110 @@ def _type_census(cfg: GenConfig) -> tuple[int, int]:
     return prod, reserved
 
 
+class _Draft:
+    """A policy under construction, with the ledger rows that describe it.
+
+    Each step adds graph elements and their ledger rows together, so the
+    ledger and the policy cannot drift apart. Only the injections draw random
+    numbers; every other draw is the caller's, made before the step, so each
+    profile keeps its own draw order.
+    """
+
+    def __init__(self, policy_class: str):
+        self.policy = PolicyHypergraph()
+        self.pc = self.policy.add_vertex(VertexKind.POLICY_CLASS, policy_class)
+        self.resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
+        self.user_roles: dict[VertexId, tuple[VertexId, ...]] = {}
+        self.user_account: dict[VertexId, str] = {}
+        self.role_users: dict[VertexId, list[VertexId]] = {}  # roles with users only
+        self.grants: list[Grant] = []
+        self.chains: list[ChainRecord] = []
+        self.excess: list[ExcessRecord] = []
+
+    def resource(self, name: str, account: str, types: list[VertexId],
+                 tags: Optional[dict[str, str]] = None) -> VertexId:
+        """A resource assigned to ``types``; tags default to the first
+        type's env and name."""
+        if tags is None:
+            first = self.policy.vertex(types[0])
+            tags = {"env": first.tags["env"], "type": first.name}
+        rid = self.policy.add_vertex(VertexKind.RESOURCE, name, account=account, tags=tags)
+        for tid in types:
+            self.policy.add_assignment(rid, tid)
+        self.resource_types[rid] = tuple(types)
+        return rid
+
+    def user(self, name: str, account: str, roles: list[VertexId]) -> VertexId:
+        uid = self.policy.add_vertex(VertexKind.USER, name, account=account)
+        for role in roles:
+            self.policy.add_assignment(uid, role)
+            self.role_users.setdefault(role, []).append(uid)
+        self.user_roles[uid] = tuple(roles)
+        self.user_account[uid] = account
+        return uid
+
+    def _associate(self, role: VertexId, tid: VertexId, mask: int, constraints=()) -> int:
+        perms = PermissionSet(self.policy.universe, mask)
+        return self.policy.add_association([role], [tid], self.pc, perms, constraints)
+
+    def grant(self, role: VertexId, tid: VertexId, mask: int,
+              window: Optional[tuple[datetime, datetime]] = None, scoped: bool = False) -> None:
+        """An intended grant, with its ``Grant`` row."""
+        constraints = [TimeWindow(*window)] if window else []
+        if scoped:
+            constraints.append(SameAccount())
+        eid = self._associate(role, tid, mask, constraints)
+        vertex = self.policy.vertex
+        accounts = (vertex(role).account, vertex(tid).account) if scoped else ()
+        self.grants.append(Grant(role, tid, mask, eid, window, scoped, accounts))
+
+    def inject_chain(self, rng: Rng, sources: list[VertexId], target: VertexId,
+                     prod_types: list[VertexId]) -> ChainRecord:
+        """Assign a random role of ``sources`` to the grant-free ``target``,
+        and grant ``target`` Read and Write on a random one of ``prod_types``
+        that has resources."""
+        if not sources:
+            raise InsufficientEntities("no role with assigned users to chain from")
+        filled = {t for types in self.resource_types.values() for t in types}
+        populated = [t for t in prod_types if t in filled]
+        if not populated:
+            raise InsufficientEntities("no production type with resources to target")
+        source = rng.choice(sources)
+        tid = rng.choice(populated)
+        mask = self.policy.universe.mask_of(["Read", "Write"])
+        assoc = self._associate(target, tid, mask)
+        assign = self.policy.add_assignment(source, target)
+        finding = tuple(sorted(self.role_users.get(source, ())))
+        affected = tuple(sorted(set(finding) | set(self.role_users.get(target, ()))))
+        record = ChainRecord(assign, assoc, source, target, tid, mask, finding, affected)
+        self.chains.append(record)
+        return record
+
+    def inject_excess(self, rng: Rng, count: int, exclude: tuple[VertexId, ...] = ()) -> None:
+        """Give ``count`` granted roles, outside ``exclude``, a withheld
+        permission on one of their granted types."""
+        by_role: dict[VertexId, list[Grant]] = {}
+        for g in self.grants:
+            by_role.setdefault(g.role, []).append(g)
+        eligible = sorted(r for r in by_role if r not in exclude)
+        if count > len(eligible):
+            raise InsufficientEntities(
+                f"cannot inject {count} excess grants over {len(eligible)} granted roles"
+            )
+        universe = self.policy.universe
+        for i, role in enumerate(sorted(rng.sample(eligible, count))):
+            tid = rng.choice(by_role[role]).type_id
+            mask = universe.mask_of(EXCESS_PERM_CYCLE[i % len(EXCESS_PERM_CYCLE)])
+            eid = self._associate(role, tid, mask)
+            users = tuple(self.role_users.get(role, ()))
+            self.excess.append(ExcessRecord(role, tid, mask, eid, users))
+
+    def finish(self) -> tuple[PolicyHypergraph, GroundTruth]:
+        assert not self.policy.validate(), "generator produced an invalid policy"
+        return self.policy, GroundTruth(EVAL_TS, self.user_roles, self.user_account, self.grants,
+                                        self.resource_types, self.chains, self.excess)
+
+
 def generate(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     """Deterministic policy + ground truth for the config's seed."""
     cfg.validate()
@@ -381,275 +491,97 @@ def generate(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
 def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     root = Rng(cfg.seed)
     accounts = _accounts(cfg.n_accounts)
-    policy = PolicyHypergraph()
-    pc = policy.add_vertex(VertexKind.POLICY_CLASS, "cloud")
+    draft = _Draft("cloud")
+    policy = draft.policy
 
     prod_count, _reserved = _type_census(cfg)
+    n_dev = cfg.n_resource_types - prod_count
     rng_t = root.split("types")
-    type_ids: list[VertexId] = []
-    prod_types: list[VertexId] = []
-    for i in range(cfg.n_resource_types):
-        prod = i >= cfg.n_resource_types - prod_count
-        env = "production" if prod else "development"
-        tid = policy.add_vertex(
+    type_ids = [
+        policy.add_vertex(
             VertexKind.RESOURCE_ATTR,
             f"type-{i:02d}",
             account=rng_t.choice(accounts),
-            tags={"env": env},
+            tags={"env": "production" if i >= n_dev else "development"},
         )
-        type_ids.append(tid)
-        if prod:
-            prod_types.append(tid)
-    dev_types = [t for t in type_ids if t not in prod_types]
+        for i in range(cfg.n_resource_types)
+    ]
+    dev_types, prod_types = type_ids[:n_dev], type_ids[n_dev:]
     jit_type = dev_types[0] if cfg.pct_temporal > 0 else None
     scoped_type = dev_types[1 if cfg.pct_temporal > 0 else 0] if cfg.pct_scoped > 0 else None
     base_types = [t for t in dev_types if t not in (jit_type, scoped_type)]
 
     rng_r = root.split("resources")
-    resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
     width = max(4, len(str(max(cfg.n_resources, 1))))
     for i in range(cfg.n_resources):
-        tid = type_ids[i % len(type_ids)]
-        env = policy.vertex(tid).tags["env"]
-        rid = policy.add_vertex(
-            VertexKind.RESOURCE,
-            f"res-{i:0{width}d}",
-            account=rng_r.choice(accounts),
-            tags={"env": env, "type": policy.vertex(tid).name},
-        )
-        policy.add_assignment(rid, tid)
-        resource_types[rid] = (tid,)
+        draft.resource(f"res-{i:0{width}d}", rng_r.choice(accounts), [type_ids[i % len(type_ids)]])
 
     rng_role = root.split("roles")
-    role_ids: list[VertexId] = []
-    for i in range(cfg.n_roles):
-        role_ids.append(
-            policy.add_vertex(
-                VertexKind.USER_ATTR,
-                f"role-{i:03d}",
-                account=rng_role.choice(accounts),
-            )
-        )
-    elevated = role_ids[len(role_ids) - cfg.injected_chains :] if cfg.injected_chains else []
-    base_roles = [r for r in role_ids if r not in elevated]
+    role_ids = [
+        policy.add_vertex(VertexKind.USER_ATTR, f"role-{i:03d}", account=rng_role.choice(accounts))
+        for i in range(cfg.n_roles)
+    ]
+    # the last roles are reserved, grant-free, as chain targets
+    n_base = cfg.n_roles - cfg.injected_chains
+    base_roles, elevated = role_ids[:n_base], role_ids[n_base:]
 
     rng_u = root.split("users")
     rng_assign = root.split("assignments")
-    user_ids: list[VertexId] = []
-    user_roles: dict[VertexId, tuple[VertexId, ...]] = {}
-    user_account: dict[VertexId, str] = {}
-    role_users: dict[VertexId, list[VertexId]] = {r: [] for r in role_ids}
+    lo, hi = cfg.assignments_per_user
     uwidth = max(4, len(str(max(cfg.n_users, 1))))
     for i in range(cfg.n_users):
         acct = rng_u.choice(accounts)
-        uid = policy.add_vertex(
-            VertexKind.USER, f"user-{i:0{uwidth}d}", account=acct
-        )
-        user_ids.append(uid)
-        user_account[uid] = acct
+        mine = []
         if base_roles:
-            lo, hi = cfg.assignments_per_user
             k = rng_assign.randint(lo, min(hi, len(base_roles)))
             mine = sorted(rng_assign.sample(base_roles, k))
-            for role in mine:
-                policy.add_assignment(uid, role)
-                role_users[role].append(uid)
-            user_roles[uid] = tuple(mine)
-        else:
-            user_roles[uid] = ()
+        draft.user(f"user-{i:0{uwidth}d}", acct, mine)
 
     universe = policy.universe
     base_pool = [p for p in BASE_PERM_POOL if p in universe]
     rng_grant = root.split("grants")
-    grants: list[Grant] = []
-
-    def add_grant(role, tid, mask, constraints, window, scoped) -> None:
-        eid = policy.add_association([role], [tid], pc, universe.names_of(mask), constraints)
-        accounts = (policy.vertex(role).account, policy.vertex(tid).account) if scoped else ()
-        grants.append(Grant(role, tid, mask, eid, window, scoped, accounts))
-
-    for role in base_roles:
-        if not base_types:
-            break
+    lo, hi = cfg.types_per_role
+    for role in base_roles if base_types else ():
         p = min(zipf_sample(rng_grant, cfg.perms_per_role[1], cfg.zipf_s), len(base_pool))
         p = max(p, cfg.perms_per_role[0])
         mask = universe.mask_of(rng_grant.sample(base_pool, min(p, len(base_pool))))
-        lo, hi = cfg.types_per_role
         t = rng_grant.randint(lo, max(lo, min(hi, len(base_types))))
-        t = min(t, len(base_types))
-        for tid in sorted(rng_grant.sample(base_types, t)):
-            constraints = []
+        for tid in sorted(rng_grant.sample(base_types, min(t, len(base_types)))):
             window = None
-            scoped = False
             if rng_grant.random() < cfg.pct_temporal:
                 window = ACTIVE_WINDOW if rng_grant.random() < 0.5 else EXPIRED_WINDOW
-                constraints.append(TimeWindow(*window))
-            if rng_grant.random() < cfg.pct_scoped:
-                scoped = True
-                constraints.append(SameAccount())
-            add_grant(role, tid, mask, constraints, window, scoped)
+            draft.grant(role, tid, mask, window, rng_grant.random() < cfg.pct_scoped)
 
     # Canary constrained grants on reserved types: deterministic false-positive
     # sources for the constraint-dropping baselines (see module docstring).
-    roles_with_users = [r for r in base_roles if role_users[r]]
+    roles_with_users = [r for r in base_roles if r in draft.role_users]
     read_mask = universe.mask_of(["Read"])
     if jit_type is not None and roles_with_users:
-        add_grant(
-            roles_with_users[0],
-            jit_type,
-            read_mask,
-            [TimeWindow(*EXPIRED_WINDOW)],
-            EXPIRED_WINDOW,
-            False,
-        )
+        draft.grant(roles_with_users[0], jit_type, read_mask, EXPIRED_WINDOW)
     if scoped_type is not None and roles_with_users:
         target_acct = policy.vertex(scoped_type).account
         pick = next(
             (r for r in roles_with_users if policy.vertex(r).account != target_acct),
             roles_with_users[0],
         )
-        add_grant(pick, scoped_type, read_mask, [SameAccount()], None, True)
-
-    gt = GroundTruth(
-        eval_timestamp=EVAL_TS,
-        user_roles=user_roles,
-        user_account=user_account,
-        grants=grants,
-        resource_types=resource_types,
-    )
+        draft.grant(pick, scoped_type, read_mask, scoped=True)
 
     rng_chain = root.split("chains")
-    for i in range(cfg.injected_chains):
-        _inject_chain(
-            policy,
-            gt,
-            rng_chain,
-            pc,
-            source_pool=roles_with_users,
-            target=elevated[i],
-            prod_types=prod_types,
-            role_users=role_users,
-        )
-
+    for target in elevated:
+        draft.inject_chain(rng_chain, roles_with_users, target, prod_types)
     # every granted role is a base role: elevated roles get no grants
-    _inject_excess(policy, gt, root.split("excess"), pc, cfg.injected_excess, role_users)
-
-    assert not policy.validate(), "generator produced an invalid policy"
-    return policy, gt
-
-
-def _inject_excess(
-    policy: PolicyHypergraph,
-    gt: GroundTruth,
-    rng: Rng,
-    pc: VertexId,
-    count: int,
-    role_users: dict[VertexId, list[VertexId]],
-    exclude: tuple[VertexId, ...] = (),
-) -> None:
-    """Give ``count`` granted roles, outside ``exclude``, a withheld permission
-    on one of their granted types, and record each grant in ``gt.excess``."""
-    eligible = sorted(r for r in gt._grants_by_role if r not in exclude)
-    if count > len(eligible):
-        raise InsufficientEntities(
-            f"cannot inject {count} excess grants over {len(eligible)} granted roles"
-        )
-    universe = policy.universe
-    for i, role in enumerate(sorted(rng.sample(eligible, count))):
-        g = rng.choice(gt._grants_by_role[role])
-        mask = universe.mask_of(EXCESS_PERM_CYCLE[i % len(EXCESS_PERM_CYCLE)])
-        eid = policy.add_association([role], [g.type_id], pc, universe.names_of(mask))
-        gt.excess.append(ExcessRecord(role, g.type_id, mask, eid, tuple(role_users[role])))
-
-
-def _inject_chain(
-    policy: PolicyHypergraph,
-    gt: GroundTruth,
-    rng: Rng,
-    pc: VertexId,
-    source_pool: list[VertexId],
-    target: VertexId,
-    prod_types: list[VertexId],
-    role_users: dict[VertexId, list[VertexId]],
-) -> ChainRecord:
-    if not source_pool:
-        raise InsufficientEntities("no role with assigned users to chain from")
-    populated = [t for t in prod_types if gt.resources_by_type.get(t)]
-    if not populated:
-        raise InsufficientEntities("no production type with resources to target")
-    source = rng.choice(source_pool)
-    tid = rng.choice(populated)
-    mask = policy.universe.mask_of(["Read", "Write"])
-    assoc = policy.add_association([target], [tid], pc, policy.universe.names_of(mask))
-    assign = policy.add_assignment(source, target)
-    affected = tuple(sorted(set(role_users.get(source, ())) | set(role_users.get(target, ()))))
-    record = ChainRecord(
-        assignment_edge=assign,
-        association_edge=assoc,
-        source_role=source,
-        target_role=target,
-        type_id=tid,
-        mask=mask,
-        finding_users=tuple(sorted(role_users.get(source, ()))),
-        fact_users=affected,
-    )
-    gt.chains.append(record)
-    return record
-
-
-def inject_escalation_chain(
-    policy: PolicyHypergraph, gt: GroundTruth, rng: Rng
-) -> ChainRecord:
-    """Add a role-hierarchy link plus a production grant some user can chain to.
-
-    Picks a source role that has users and a target role that is free of
-    grants, and records full provenance in the ground truth.
-    """
-    role_users: dict[VertexId, list[VertexId]] = {}
-    for uid, roles in gt.user_roles.items():
-        for r in roles:
-            role_users.setdefault(r, []).append(uid)
-    for users in role_users.values():
-        users.sort()
-    sources = sorted(r for r, us in role_users.items() if us)
-    granted = {g.role for g in gt.grants} | {c.target_role for c in gt.chains}
-    granted |= {c.source_role for c in gt.chains}
-    all_roles = sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER_ATTR))
-    targets = [r for r in all_roles if r not in granted and not role_users.get(r)]
-    if not sources or not targets:
-        raise InsufficientEntities(
-            "chain injection needs a role with users and a spare grant-free role"
-        )
-    prod_types = sorted(
-        t
-        for t, rs in gt.resources_by_type.items()
-        if rs and policy.vertex(t).tags.get("env") == "production"
-    )
-    if not prod_types:
-        raise InsufficientEntities("no production-tagged resources to target")
-    pcs = policy.vertices_of_kind(VertexKind.POLICY_CLASS)
-    if not pcs:
-        raise InsufficientEntities("no policy class to scope the association")
-    return _inject_chain(
-        policy,
-        gt,
-        rng,
-        min(p.id for p in pcs),
-        source_pool=[sources[0]],
-        target=targets[0],
-        prod_types=prod_types[:1],
-        role_users=role_users,
-    )
+    draft.inject_excess(root.split("excess"), cfg.injected_excess)
+    return draft.finish()
 
 
 def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     """sqrt-grouping profile: ceil(sqrt(n)) groups each side, cross associated."""
     root = Rng(cfg.seed)
     accounts = _accounts(cfg.n_accounts)
-    policy = PolicyHypergraph()
-    pc = policy.add_vertex(VertexKind.POLICY_CLASS, "cloud")
+    draft = _Draft("cloud")
+    policy = draft.policy
     g = max(1, math.isqrt(cfg.n_users - 1) + 1) if cfg.n_users > 1 else 1
-    per_entity = max(1, round(g / 4))
+    per_entity = max(1, round(g / 4))  # never above g
 
     rng_g = root.split("groups")
     ua_groups = [
@@ -669,56 +601,26 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     ]
 
     rng_r = root.split("resources")
-    resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
     width = max(4, len(str(max(cfg.n_resources, 1))))
     for i in range(cfg.n_resources):
-        rid = policy.add_vertex(
-            VertexKind.RESOURCE,
-            f"res-{i:0{width}d}",
-            account=rng_r.choice(accounts),
-            tags={"env": "development"},
-        )
-        mine = sorted(rng_r.sample(ra_groups, min(per_entity, len(ra_groups))))
-        for gid in mine:
-            policy.add_assignment(rid, gid)
-        resource_types[rid] = tuple(mine)
+        acct = rng_r.choice(accounts)
+        mine = sorted(rng_r.sample(ra_groups, per_entity))
+        draft.resource(f"res-{i:0{width}d}", acct, mine, tags={"env": "development"})
 
     rng_u = root.split("users")
-    user_roles: dict[VertexId, tuple[VertexId, ...]] = {}
-    user_account: dict[VertexId, str] = {}
     uwidth = max(4, len(str(max(cfg.n_users, 1))))
     for i in range(cfg.n_users):
         acct = rng_u.choice(accounts)
-        uid = policy.add_vertex(VertexKind.USER, f"user-{i:0{uwidth}d}", account=acct)
-        user_account[uid] = acct
-        mine = sorted(rng_u.sample(ua_groups, min(per_entity, len(ua_groups))))
-        for gid in mine:
-            policy.add_assignment(uid, gid)
-        user_roles[uid] = tuple(mine)
+        draft.user(f"user-{i:0{uwidth}d}", acct, sorted(rng_u.sample(ua_groups, per_entity)))
 
     universe = policy.universe
     base_pool = [p for p in BASE_PERM_POOL if p in universe]
     rng_grant = root.split("grants")
-    grants: list[Grant] = []
     for ua in ua_groups:
         for ra in ra_groups:
-            p = min(
-                zipf_sample(rng_grant, cfg.perms_per_role[1], cfg.zipf_s),
-                len(base_pool),
-            )
-            mask = universe.mask_of(rng_grant.sample(base_pool, p))
-            eid = policy.add_association([ua], [ra], pc, universe.names_of(mask))
-            grants.append(Grant(ua, ra, mask, eid))
-
-    gt = GroundTruth(
-        eval_timestamp=EVAL_TS,
-        user_roles=user_roles,
-        user_account=user_account,
-        grants=grants,
-        resource_types=resource_types,
-    )
-    assert not policy.validate(), "generator produced an invalid policy"
-    return policy, gt
+            p = min(zipf_sample(rng_grant, cfg.perms_per_role[1], cfg.zipf_s), len(base_pool))
+            draft.grant(ua, ra, universe.mask_of(rng_grant.sample(base_pool, p)))
+    return draft.finish()
 
 
 FIXTURE_TYPE_NAMES = (
@@ -748,34 +650,22 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
     injected over-privilege grants."""
     rng = Rng(0x20250601)
     accounts = _accounts(4)
-    policy = PolicyHypergraph()
-    pc = policy.add_vertex(VertexKind.POLICY_CLASS, "aws")
+    draft = _Draft("aws")
+    policy = draft.policy
 
-    type_ids: dict[str, VertexId] = {}
-    for name in FIXTURE_TYPE_NAMES:
-        env = "production" if name in FIXTURE_PROD_TYPES else "development"
-        type_ids[name] = policy.add_vertex(
+    type_ids = {
+        name: policy.add_vertex(
             VertexKind.RESOURCE_ATTR,
             name,
             account=rng.choice(accounts),
-            tags={"env": env},
+            tags={"env": "production" if name in FIXTURE_PROD_TYPES else "development"},
         )
+        for name in FIXTURE_TYPE_NAMES
+    }
     dev_type_names = [n for n in FIXTURE_TYPE_NAMES if n not in FIXTURE_PROD_TYPES]
 
-    resource_types: dict[VertexId, tuple[VertexId, ...]] = {}
-
-    def add_resource(name: str, type_name: str) -> VertexId:
-        tid = type_ids[type_name]
-        env = policy.vertex(tid).tags["env"]
-        rid = policy.add_vertex(
-            VertexKind.RESOURCE,
-            name,
-            account=rng.choice(accounts),
-            tags={"env": env, "type": type_name},
-        )
-        policy.add_assignment(rid, tid)
-        resource_types[rid] = (tid,)
-        return rid
+    def add_resource(name: str, type_name: str) -> None:
+        draft.resource(name, rng.choice(accounts), [type_ids[type_name]])
 
     add_resource("ProductionDB", "rds-database")
     s3_dev = [n for n in dev_type_names if n.startswith("s3-")]
@@ -798,41 +688,19 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
         for i in range(2, 45)
     ]
 
-    alice = policy.add_vertex(VertexKind.USER, "Alice", account=accounts[0])
-    users = [alice]
-    for i in range(1, 250):
-        users.append(
-            policy.add_vertex(
-                VertexKind.USER, f"user-{i:03d}", account=rng.choice(accounts)
-            )
-        )
-
-    user_roles: dict[VertexId, tuple[VertexId, ...]] = {}
-    user_account = {u: policy.vertex(u).account for u in users}
-    role_users: dict[VertexId, list[VertexId]] = {
-        r: [] for r in [developer, power_user] + other_roles
-    }
-    dev_users = users[:12]  # Alice plus eleven colleagues hold Developer
-    for uid in dev_users:
-        policy.add_assignment(uid, developer)
-        role_users[developer].append(uid)
-        user_roles[uid] = (developer,)
-    for uid in users[12:]:
-        k = rng.randint(1, 3)
-        mine = sorted(rng.sample(other_roles, k))
-        for role in mine:
-            policy.add_assignment(uid, role)
-            role_users[role].append(uid)
-        user_roles[uid] = tuple(mine)
+    # Every user's account is drawn before any user's roles.
+    user_accounts = [accounts[0]] + [rng.choice(accounts) for _ in range(1, 250)]
+    for i, acct in enumerate(user_accounts):
+        if i < 12:  # Alice plus eleven colleagues hold Developer
+            mine = [developer]
+        else:
+            mine = sorted(rng.sample(other_roles, rng.randint(1, 3)))
+        draft.user(f"user-{i:03d}" if i else "Alice", acct, mine)
 
     universe = policy.universe
-    grants: list[Grant] = []
 
     def add_grant(role: VertexId, type_name: str, perms: tuple[str, ...]) -> None:
-        tid = type_ids[type_name]
-        mask = universe.mask_of(perms)
-        eid = policy.add_association([role], [tid], pc, perms)
-        grants.append(Grant(role, tid, mask, eid))
+        draft.grant(role, type_ids[type_name], universe.mask_of(perms))
 
     add_grant(developer, "s3-bucket-dev-a", ("Read", "List"))
     add_grant(developer, "s3-bucket-dev-b", ("Read", "Write", "List"))
@@ -841,28 +709,8 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
         for type_name in sorted(rng.sample(dev_type_names, rng.randint(2, 4))):
             add_grant(role, type_name, perm_menu[rng.u64() % len(perm_menu)])
 
-    gt = GroundTruth(
-        eval_timestamp=EVAL_TS,
-        user_roles=user_roles,
-        user_account=user_account,
-        grants=grants,
-        resource_types=resource_types,
-    )
-
     # The unintended role inheritance: Developer chains into the grant-free
     # PowerUser role, which alone reaches the production database type.
-    _inject_chain(
-        policy,
-        gt,
-        rng,
-        pc,
-        source_pool=[developer],
-        target=power_user,
-        prod_types=[type_ids["rds-database"]],
-        role_users=role_users,
-    )
-
-    _inject_excess(policy, gt, rng, pc, excess_roles, role_users, exclude=(developer,))
-
-    assert not policy.validate(), "fixture must be well-formed"
-    return policy, gt
+    draft.inject_chain(rng, [developer], power_user, [type_ids["rds-database"]])
+    draft.inject_excess(rng, excess_roles, exclude=(developer,))
+    return draft.finish()

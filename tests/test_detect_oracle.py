@@ -137,7 +137,7 @@ def _assert_same(policy, required, expanded, ctx, max_depth=DEFAULT_MAX_DEPTH) -
 def _thinned(gt, every: int):
     """The ledger minus every ``every``-th grant, so those grants become excess."""
     kept = [g for i, g in enumerate(gt.grants) if i % every]
-    return replace(gt, grants=kept, _grants_by_role={})
+    return replace(gt, grants=kept)
 
 
 @pytest.mark.parametrize(

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
-from hyperpam.core import HyperedgeKind, VertexKind
+from hyperpam.core import HyperedgeKind, SameAccount, TimeWindow, VertexKind
 from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
 from hyperpam.errors import ConfigInvalid, InsufficientEntities
 from hyperpam.generator import (
     EVAL_TS,
     GenConfig,
     GroundTruth,
+    _Draft,
     config_for_scale,
     generate,
-    inject_escalation_chain,
     make_fixture_usecase,
 )
 from hyperpam.rng import Rng, zipf_sample
@@ -118,55 +119,51 @@ def test_injected_chains_round_trip():
         ).allowed
 
 
-def test_public_chain_injection_minimal_shape():
-    from hyperpam.core import PolicyHypergraph
-
-    p = PolicyHypergraph()
-    p.add_vertex(VertexKind.POLICY_CLASS, "aws")
-    alice = p.add_vertex(VertexKind.USER, "Alice", "a")
+def _alice_draft():
+    """A draft where Alice holds Developer, PowerUser is grant-free and
+    ProductionDB is the one resource of the production type rds."""
+    draft = _Draft("aws")
+    p = draft.policy
     dev = p.add_vertex(VertexKind.USER_ATTR, "Developer", "a")
     power = p.add_vertex(VertexKind.USER_ATTR, "PowerUser", "a")
-    rds = p.add_vertex(
-        VertexKind.RESOURCE_ATTR, "rds", "a", {"env": "production"}
-    )
-    pdb = p.add_vertex(
-        VertexKind.RESOURCE, "ProductionDB", "a", {"env": "production"}
-    )
-    p.add_assignment(pdb, rds)
-    p.add_assignment(alice, dev)
-    gt = GroundTruth(
-        eval_timestamp=EVAL_TS,
-        user_roles={alice: (dev,)},
-        user_account={alice: "a"},
-        grants=[],
-        resource_types={pdb: (rds,)},
-    )
-    record = inject_escalation_chain(p, gt, Rng(1))
+    rds = p.add_vertex(VertexKind.RESOURCE_ATTR, "rds", "a", {"env": "production"})
+    pdb = draft.resource("ProductionDB", "a", [rds])
+    alice = draft.user("Alice", "a", [dev])
+    return draft, alice, dev, power, rds, pdb
+
+
+def test_draft_chain_injection_minimal_shape():
+    draft, alice, dev, power, rds, pdb = _alice_draft()
+    record = draft.inject_chain(Rng(1), [dev], power, [rds])
+    p, gt = draft.finish()
     assert record.source_role == dev and record.target_role == power
-    assert record.finding_users == (alice,)
+    assert record.finding_users == record.fact_users == (alice,)
+    assert gt.chains == [record] and gt.resources_by_type == {rds: (pdb,)}
     d = check_privilege(p, PrivilegeQuery(alice, "Read", pdb, gt.context_for(alice)))
     assert d.allowed
     names = [p.vertex(v).name for v in d.witness.vertices]
     assert names == ["Alice", "Developer", "PowerUser", "rds", "ProductionDB"]
 
 
-def test_public_chain_injection_needs_entities():
-    from hyperpam.core import PolicyHypergraph
-
-    p = PolicyHypergraph()
-    p.add_vertex(VertexKind.POLICY_CLASS, "aws")
-    u = p.add_vertex(VertexKind.USER, "u")
-    only_role = p.add_vertex(VertexKind.USER_ATTR, "only")
-    p.add_assignment(u, only_role)
-    gt = GroundTruth(
-        eval_timestamp=EVAL_TS,
-        user_roles={u: (only_role,)},
-        user_account={u: ""},
-        grants=[],
-        resource_types={},
-    )
-    with pytest.raises(InsufficientEntities):
-        inject_escalation_chain(p, gt, Rng(1))
+def test_draft_injections_need_entities():
+    draft, alice, dev, power, rds, pdb = _alice_draft()
+    p = draft.policy
+    empty_prod = p.add_vertex(VertexKind.RESOURCE_ATTR, "s3-prod", "a", {"env": "production"})
+    dev_type = p.add_vertex(VertexKind.RESOURCE_ATTR, "s3-dev", "a", {"env": "development"})
+    draft.resource("bucket", "a", [dev_type])
+    draft.grant(dev, dev_type, p.universe.mask_of(["Read"]))
+    edges = p.edge_count
+    with pytest.raises(InsufficientEntities, match="no role with assigned users"):
+        draft.inject_chain(Rng(1), [], power, [rds])
+    with pytest.raises(InsufficientEntities, match="no production type with resources"):
+        draft.inject_chain(Rng(1), [dev], power, [empty_prod])
+    with pytest.raises(InsufficientEntities, match="cannot inject 2 excess grants over 1 granted"):
+        draft.inject_excess(Rng(1), 2)
+    with pytest.raises(InsufficientEntities, match="cannot inject 1 excess grants over 0 granted"):
+        draft.inject_excess(Rng(1), 1, exclude=(dev,))
+    # a refused injection adds nothing
+    _, gt = draft.finish()
+    assert p.edge_count == edges and gt.chains == [] and gt.excess == []
 
 
 def test_fixture_census_and_alice():
@@ -230,6 +227,15 @@ POLICY_SHA256 = {
 }
 
 
+# The ledger's bytes, pinned beside the policy's: GroundTruth.dumps of the same
+# three cases.
+LEDGER_SHA256 = {
+    "standard": "c532fc535ecccf58a85cf6c6929d6e822800bb0b3dcf714e174c7f675bb58f9f",
+    "sqrt-grouping": "4359ba05d5c84655bfbc6524716c39d0583481ba416e0b76df05ba04db758fc1",
+    "fixture": "9431c81266ce86a081af0c0321948c3b4f4af740ab9539ade1556aae0d279f80",
+}
+
+
 def _generated(case):
     if case == "fixture":
         return make_fixture_usecase()
@@ -240,6 +246,13 @@ def _generated(case):
 def test_generated_policy_bytes_are_frozen(case):
     policy, _ = _generated(case)
     assert hashlib.sha256(dumps_policy(policy).encode()).hexdigest() == POLICY_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(LEDGER_SHA256))
+def test_generated_ledger_bytes_are_frozen(case):
+    policy, gt = _generated(case)
+    text = gt.dumps(policy.universe.names)
+    assert hashlib.sha256(text.encode()).hexdigest() == LEDGER_SHA256[case]
 
 
 @pytest.mark.parametrize("case", sorted(POLICY_SHA256))
@@ -258,6 +271,71 @@ def test_ledger_round_trip(case):
         assert gt.required_permissions(now) != gt.required_permissions(later)
     # a timestamp without an offset is read as UTC, as policy files read it
     assert GroundTruth.loads(text.replace("+00:00", ""), policy.universe) == gt
+
+
+def test_replaced_grants_rederive_the_index():
+    _, gt = make_fixture_usecase()
+    thin = replace(gt, grants=gt.grants[::2])
+    assert sum(map(len, thin._grants_by_role.values())) == len(thin.grants) == 66
+    ctx = EvaluationContext(EVAL_TS)
+    fresh = GroundTruth(gt.eval_timestamp, gt.user_roles, gt.user_account,
+                        gt.grants[::2], gt.resource_types)
+    assert thin.required_permissions(ctx) == fresh.required_permissions(ctx)
+    assert thin.required_permissions(ctx) != gt.required_permissions(ctx)
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_SHA256))
+def test_ledger_rows_match_their_edges(case):
+    policy, gt = _generated(case)
+    (pc,) = [v.id for v in policy.vertices_of_kind(VertexKind.POLICY_CLASS)]
+    universe = policy.universe
+
+    def association(eid, role, tid, mask):
+        e = policy.edge(eid)
+        assert e.kind is HyperedgeKind.ASSOCIATION and e.active
+        assert e.members == (role, tid, pc) and e.perm_mask == mask
+        return e
+
+    for g in gt.grants:
+        e = association(g.edge, g.role, g.type_id, g.mask)
+        want = [TimeWindow(*g.window)] if g.window else []
+        want += [SameAccount()] if g.same_account else []
+        assert list(e.constraints) == want
+        accounts = (policy.vertex(g.role).account, policy.vertex(g.type_id).account)
+        assert g.member_accounts == (accounts if g.same_account else ())
+
+    def heads(vid):
+        return tuple(head for _, head in sorted(policy.assignments_from(vid)))
+
+    users = [v.id for v in policy.vertices_of_kind(VertexKind.USER)]
+    assert sorted(gt.user_roles) == sorted(gt.user_account) == users
+    for u in users:
+        assert gt.user_roles[u] == heads(u)
+        assert gt.user_account[u] == policy.vertex(u).account
+    resources = [v.id for v in policy.vertices_of_kind(VertexKind.RESOURCE)]
+    assert sorted(gt.resource_types) == resources
+    for r in resources:
+        assert gt.resource_types[r] == heads(r)
+
+    def holders(role):
+        return tuple(u for u in users if role in gt.user_roles[u])
+
+    for c in gt.chains:
+        e = policy.edge(c.assignment_edge)
+        assert e.kind is HyperedgeKind.ASSIGNMENT and e.members == (c.source_role, c.target_role)
+        assert association(c.association_edge, c.target_role, c.type_id, c.mask).constraints == ()
+        assert c.mask == universe.mask_of(["Read", "Write"])
+        assert c.finding_users == holders(c.source_role)
+        assert c.fact_users == tuple(sorted({*holders(c.source_role), *holders(c.target_role)}))
+    for x in gt.excess:
+        assert association(x.association_edge, x.role, x.type_id, x.mask).constraints == ()
+        assert x.users == holders(x.role)
+
+    # every edge of the policy is one of the ledger's rows
+    recorded = [g.edge for g in gt.grants] + [c.association_edge for c in gt.chains]
+    recorded += [x.association_edge for x in gt.excess] + [c.assignment_edge for c in gt.chains]
+    recorded += [eid for v in users + resources for eid, _ in policy.assignments_from(v)]
+    assert sorted(recorded) == sorted(e.id for e in policy.edges())
 
 
 def test_ledger_size_is_linear_in_policy_size():
