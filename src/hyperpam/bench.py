@@ -110,9 +110,11 @@ def build_workload(
         return []
     rng = Rng(seed).split("workload")
     queries: list[PrivilegeQuery] = []
+    # one context per acting account, shared by all of its queries
+    contexts = {a: EvaluationContext(gt.eval_timestamp, a) for a in {"", *gt.user_account.values()}}
 
     def ctx_for(uid: int) -> EvaluationContext:
-        return EvaluationContext(gt.eval_timestamp, gt.user_account.get(uid, ""))
+        return contexts[gt.user_account.get(uid, "")]
 
     if mode == "per_user":
         pool_size = max(1, math.isqrt(len(resources) - 1) + 1) if len(resources) > 1 else 1

@@ -55,6 +55,10 @@ class VertexKind(Enum):
     PERMISSION = "permission"
 
 
+# module globals for walks that test kinds per step: cheaper to read than VertexKind.X
+USER, USER_ATTR, POLICY_CLASS = VertexKind.USER, VertexKind.USER_ATTR, VertexKind.POLICY_CLASS
+RESOURCE, RESOURCE_ATTR = VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR
+
 USER_SIDE_KINDS = frozenset({VertexKind.USER, VertexKind.USER_ATTR})
 RESOURCE_SIDE_KINDS = frozenset({VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR})
 
@@ -433,7 +437,8 @@ class PolicyHypergraph:
             return {e for e in ids if self._edges[e].active}
         return ids
 
-    # internal, unchecked accessors for the traversal hot path (ascending edge ids)
+    # internal, unchecked accessors (ascending edge ids); the walks in engine and detect
+    # read _edges, _vertices, _assign_out, _assign_in and _assoc_incidence directly, read-only
     def assignments_from(self, vid: VertexId) -> ItemsView[HyperedgeId, VertexId]:
         return self._assign_out[vid].items()
 

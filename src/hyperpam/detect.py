@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Optional
 
+from .core import RESOURCE, RESOURCE_ATTR, USER_ATTR
 from .core import (
     PolicyHypergraph,
     TimeWindow,
@@ -137,21 +138,22 @@ def detect_escalations(
     if not tag_key or not tag_value:
         raise ValueError("sensitive tag key and value must be non-empty")
 
+    edges, vertices, assoc = policy._edges, policy._vertices, policy._assoc_incidence
     descend_memo: dict = {}
     # vertex -> {sensitive resource: (edges, vertices) from the vertex down}
     sensitive: dict[VertexId, dict] = {}
 
     def tagged(v: VertexId) -> bool:
-        return policy.vertex(v).tags.get(tag_key) == tag_value
+        return vertices[v].tags.get(tag_key) == tag_value
 
     def sensitive_below(m: VertexId) -> dict:
         if m not in sensitive:
-            kind = policy.vertex(m).kind
-            if kind is VertexKind.RESOURCE_ATTR:
+            kind = vertices[m].kind
+            if kind is RESOURCE_ATTR:
                 below, step = _descend(policy, m, ctx, descend_memo)
                 sensitive[m] = {rid: _path_to(step, rid) for rid in below if tagged(rid)}
             else:
-                sensitive[m] = {m: ((), (m,))} if kind is VertexKind.RESOURCE and tagged(m) else {}
+                sensitive[m] = {m: ((), (m,))} if kind is RESOURCE and tagged(m) else {}
         return sensitive[m]
 
     def chained_from(role: VertexId) -> dict:
@@ -159,15 +161,15 @@ def detect_escalations(
         user attributes)} over the paths that start at ``role``, a user
         attribute, and cross one more user attribute."""
         best: dict = {}
-        if policy.vertex(role).kind is not VertexKind.USER_ATTR:
+        if vertices[role].kind is not USER_ATTR:
             return best
         dist, up = _ascend(policy, role, ctx, max_depth - 1, _Counter())
         for w, k in dist.items():
             if not k:
                 continue
             pedges, pverts = _path_to(up, w)
-            for eid in policy.associations_at(w):
-                edge = policy.edge(eid)
+            for eid in assoc[w]:
+                edge = edges[eid]
                 if not edge.active or not edge.perm_mask:
                     continue
                 if not edge_satisfied(policy, edge, ctx):
@@ -182,11 +184,9 @@ def detect_escalations(
                         cur = best.get(rid)
                         if cur is None or cand[:2] < cur[:2]:
                             best[rid] = cand
-        for rid, (total, edges, verts) in best.items():
-            chained = tuple(
-                v for v in verts if policy.vertex(v).kind is VertexKind.USER_ATTR
-            )
-            best[rid] = (total, edges, verts, chained)
+        for rid, (total, path_edges, verts) in best.items():
+            chained = tuple(v for v in verts if vertices[v].kind is USER_ATTR)
+            best[rid] = (total, path_edges, verts, chained)
         return best
 
     # every role a user is assigned to -> chained_from(role), once per pass
@@ -195,13 +195,13 @@ def detect_escalations(
     for uid in sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER)):
         # target -> (the role's hit, the user's assignment edge to the role)
         best: dict[VertexId, tuple] = {}
-        for eid, role in policy.assignments_from(uid):
+        for eid, role in policy._assign_out[uid].items():
             hits = role_hits.get(role)
             if hits is None:
                 hits = role_hits[role] = chained_from(role)
             if not hits:
                 continue
-            edge = policy.edge(eid)
+            edge = edges[eid]
             if not edge.active or not edge_satisfied(policy, edge, ctx):
                 continue
             for rid, hit in hits.items():
@@ -299,7 +299,7 @@ def detect_over_privileged(
         for target, budget, mask in grants:
             if not mask & ~need(entries, target):
                 continue
-            if policy.vertex(target).kind is VertexKind.RESOURCE:
+            if policy._vertices[target].kind is RESOURCE:
                 below = {target: 0}
             else:
                 below = _descend(policy, target, ctx, below_memo)[0]
@@ -332,7 +332,7 @@ def detect_over_privileged(
             grants = list(_grants_at(policy, subject, ctx, max_depth - 1))
             shared = []
             held = set()
-            for eid, h in policy.assignments_from(subject):
+            for eid, h in policy._assign_out[subject].items():
                 if h in mine:
                     if h not in head_excess:
                         # the walk one hop shorter: budgets drop by one
@@ -341,7 +341,7 @@ def detect_over_privileged(
                         )
                     if not head_excess[h]:
                         continue  # nothing of h's to check, whether h is held or not
-                edge = policy.edge(eid)
+                edge = policy._edges[eid]
                 if edge.active and edge_satisfied(policy, edge, ctx):
                     held.add(h)
             for h in held:

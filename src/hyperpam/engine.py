@@ -37,7 +37,8 @@ of the user's closure, and every vertex of the resource's closure short of
 the depth limit), +1 per hyperedge evaluated, +1 per non-empty constraint
 list evaluated, +1 per membership probe against the resource closure, and
 +1 per hop of the witness's descent (it follows steps recorded on the way
-up, so fan-in adds nothing).
+up, so fan-in adds nothing). The walks read the graph's index tables
+directly.
 """
 
 from __future__ import annotations
@@ -47,15 +48,14 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, Optional
 
+from .core import POLICY_CLASS, RESOURCE, RESOURCE_ATTR, USER, USER_ATTR
 from .core import (
-    RESOURCE_SIDE_KINDS,
     ApprovalRequired,
     Hyperedge,
     PolicyHypergraph,
     SameAccount,
     TimeWindow,
     VertexId,
-    VertexKind,
     as_utc,
 )
 from .errors import KindMismatch, UnknownPermission
@@ -63,7 +63,7 @@ from .errors import KindMismatch, UnknownPermission
 DEFAULT_MAX_DEPTH = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationContext:
     """Runtime facts a query is evaluated against."""
 
@@ -76,7 +76,7 @@ class EvaluationContext:
         object.__setattr__(self, "approvals", frozenset(self.approvals))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrivilegeQuery:
     user: VertexId
     op: str
@@ -135,10 +135,9 @@ def edge_satisfied(
                 return False
         elif isinstance(c, SameAccount):
             for vid in edge.members:
-                v = policy.vertex(vid)
-                if v.kind is VertexKind.POLICY_CLASS:
-                    continue  # scoping container, not a located entity
-                if v.account != ctx.acting_account:
+                v = policy._vertices[vid]
+                # a policy class is a scoping container, not a located entity
+                if v.kind is not POLICY_CLASS and v.account != ctx.acting_account:
                     return False
         elif isinstance(c, ApprovalRequired):
             if c.tag not in ctx.approvals:
@@ -152,13 +151,14 @@ def _check_query(policy: PolicyHypergraph, q: PrivilegeQuery) -> int:
     """Validate the query and return the op's bitmask."""
     user = policy.vertex(q.user)
     resource = policy.vertex(q.resource)
-    if user.kind is not VertexKind.USER:
+    if user.kind is not USER:
         raise KindMismatch(f"query subject {user.name!r} is not a user")
-    if resource.kind is not VertexKind.RESOURCE:
+    if resource.kind is not RESOURCE:
         raise KindMismatch(f"query target {resource.name!r} is not a resource")
-    if q.op not in policy.universe:
+    i = policy.universe._index.get(q.op)
+    if i is None:
         raise UnknownPermission(f"operation {q.op!r} not in the permission universe")
-    return policy.universe.bit(q.op)
+    return 1 << i
 
 
 # vertex -> (edge id, the vertex one level closer to the walk's start)
@@ -181,8 +181,11 @@ def _ascend(
     ``start``. A resource-side walk keeps the smallest edge id, so following
     steps down spells the smallest shortest descent to ``start``.
     """
-    lowest = policy.vertex(start).kind in RESOURCE_SIDE_KINDS
-    kind = VertexKind.RESOURCE_ATTR if lowest else VertexKind.USER_ATTR
+    start_kind = policy.vertex(start).kind
+    lowest = start_kind is RESOURCE or start_kind is RESOURCE_ATTR
+    kind = RESOURCE_ATTR if lowest else USER_ATTR
+    edges, vertices, assign_out = policy._edges, policy._vertices, policy._assign_out
+    n = 0
     dist = {start: 0}
     step: _Steps = {}
     queue = [start]
@@ -190,17 +193,17 @@ def _ascend(
         d = dist[v]
         if d >= max_depth - 1:
             break
-        count.n += 1  # adjacency fetch
-        for eid, head in policy.assignments_from(v):
-            count.n += 1  # edge evaluated
-            edge = policy.edge(eid)
+        adj = assign_out[v]
+        n += 1 + len(adj)  # adjacency fetch, and each edge evaluated
+        for eid, head in adj.items():
+            edge = edges[eid]
             if not edge.active:
                 continue
             if edge.constraints:
-                count.n += 1
+                n += 1
                 if not edge_satisfied(policy, edge, ctx):
                     continue
-            if policy.vertex(head).kind is not kind:
+            if vertices[head].kind is not kind:
                 continue
             hd = dist.get(head)
             if hd is None:
@@ -209,6 +212,7 @@ def _ascend(
                 queue.append(head)
             elif lowest and hd == d + 1 and eid < step[head][0]:
                 step[head] = (eid, v)
+    count.n += n
     return dist, step
 
 
@@ -228,19 +232,20 @@ def _descend(
     cached = memo.get(key)
     if cached is not None:
         return cached
+    edges, vertices, assign_in = policy._edges, policy._vertices, policy._assign_in
     dist = {ra: 0}
     below: dict[VertexId, int] = {}
     step: _Steps = {}
     queue = [ra]
     for v in queue:  # appended to while read: breadth-first, level by level
-        for eid, tail in policy.assignments_to(v):
-            edge = policy.edge(eid)
+        for eid, tail in assign_in[v].items():
+            edge = edges[eid]
             if tail in dist or not edge.active or not edge_satisfied(policy, edge, ctx):
                 continue
-            kind = policy.vertex(tail).kind
-            if kind is VertexKind.RESOURCE:
+            kind = vertices[tail].kind
+            if kind is RESOURCE:
                 below[tail] = dist[v] + 1
-            elif kind is VertexKind.RESOURCE_ATTR:
+            elif kind is RESOURCE_ATTR:
                 queue.append(tail)
             else:
                 continue
@@ -294,43 +299,50 @@ def check_privilege(
     ctx = q.ctx
 
     rdist, down = _ascend(policy, q.resource, ctx, max_depth, count)
+    resource_ops = count.n
     udist, up = _ascend(policy, q.user, ctx, max_depth, count)
+    user_ops = count.n - resource_ops
 
-    # (total length, user-side vertex, bridge edge, exit vertex)
-    candidates: list[tuple[int, VertexId, int, VertexId]] = []
+    edges, assoc = policy._edges, policy._assoc_incidence
+    bridge_ops = 0
+    # (user-side vertex, bridge, exit vertex) of the shortest candidates, none over max_depth
+    shortest, candidates = max_depth, []
     for v, d in udist.items():
-        if d == max_depth - 1:
-            count.n += 1  # adjacency fetch the ascent skips at its last level
-        for eid in policy.associations_at(v):
-            count.n += 1
-            edge = policy.edge(eid)
-            if not edge.active or not (edge.perm_mask & opbit):
+        ids = assoc[v]
+        # each association evaluated, and the ascent's skipped last-level fetch
+        bridge_ops += len(ids) + (d == max_depth - 1)
+        for eid in ids:
+            edge = edges[eid]
+            if not edge.perm_mask & opbit or not edge.active:
                 continue
             if edge.constraints:
-                count.n += 1
+                bridge_ops += 1
                 if not edge_satisfied(policy, edge, ctx):
                     continue
+            bridge_ops += len(edge.members)  # probes against the resource closure
             for m in edge.members:
-                count.n += 1  # probe against the resource closure
                 rd = rdist.get(m)
                 if rd is None:
                     continue
                 total = d + 1 + rd
-                if total <= max_depth:
-                    candidates.append((total, v, eid, m))
+                if total < shortest:
+                    shortest, candidates = total, [(v, eid, m)]
+                elif total == shortest:
+                    candidates.append((v, eid, m))
 
     if not candidates:
-        return AccessDecision(False, None, count.n)
+        return AccessDecision(False, None, resource_ops + user_ops + bridge_ops)
 
     # edge sequences of distinct candidates differ, so min() ranks by edges
-    shortest = min(c[0] for c in candidates)
+    count.n = 0
     witnesses = []
-    for total, v, bridge, exit_v in candidates:
-        if total == shortest:
-            pedges, pverts = _path_to(up, v)
-            witnesses.append(_extend(pedges + (bridge,), pverts + (exit_v,), down, count))
-    edges, verts = min(witnesses)
-    return AccessDecision(True, AccessPath(verts, edges), count.n)
+    for v, bridge, exit_v in candidates:
+        pedges, pverts = _path_to(up, v)
+        witnesses.append(_extend(pedges + (bridge,), pverts + (exit_v,), down, count))
+    descent_ops = count.n
+    path_edges, verts = min(witnesses)
+    ops = resource_ops + user_ops + bridge_ops + descent_ops
+    return AccessDecision(True, AccessPath(verts, path_edges), ops)
 
 
 def find_access_paths(
@@ -376,7 +388,7 @@ def find_access_paths(
                 edge = policy.edge(eid)
                 if not edge.active or not edge_satisfied(policy, edge, ctx):
                     continue
-                if policy.vertex(w).kind is VertexKind.USER_ATTR and w not in verts:
+                if policy.vertex(w).kind is USER_ATTR and w not in verts:
                     heapq.heappush(
                         heap, (depth + 1, edges + (eid,), verts + (w,), False, False)
                     )
@@ -392,7 +404,7 @@ def find_access_paths(
                             heap, (depth + 1, edges + (eid,), verts + (m,), True, True)
                         )
                     elif (
-                        policy.vertex(m).kind is VertexKind.RESOURCE_ATTR
+                        policy.vertex(m).kind is RESOURCE_ATTR
                         and m not in verts
                     ):
                         heapq.heappush(
@@ -408,7 +420,7 @@ def find_access_paths(
                         heap, (depth + 1, edges + (eid,), verts + (tail,), True, True)
                     )
                 elif (
-                    policy.vertex(tail).kind is VertexKind.RESOURCE_ATTR
+                    policy.vertex(tail).kind is RESOURCE_ATTR
                     and tail not in verts
                 ):
                     heapq.heappush(
@@ -442,14 +454,15 @@ def _grants_at(
     policy: PolicyHypergraph, v: VertexId, ctx: EvaluationContext, budget: int
 ) -> Iterator[tuple[VertexId, int, int]]:
     """``live_grants``' yields for the associations at ``v`` alone."""
-    for eid in policy.associations_at(v):
-        edge = policy.edge(eid)
+    edges, vertices = policy._edges, policy._vertices
+    for eid in policy._assoc_incidence[v]:
+        edge = edges[eid]
         if not edge.active or not edge.perm_mask:
             continue
         if not edge_satisfied(policy, edge, ctx):
             continue
         for m in edge.members:
-            if policy.vertex(m).kind in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
+            if vertices[m].kind in (RESOURCE, RESOURCE_ATTR):
                 yield m, budget, edge.perm_mask
 
 
@@ -471,7 +484,7 @@ def effective_permission_map(
     memo = _descend_memo if _descend_memo is not None else {}
     granted: dict[VertexId, int] = {}
     for m, budget, mask in live_grants(policy, subject, ctx, max_depth):
-        if policy.vertex(m).kind is VertexKind.RESOURCE:
+        if policy.vertex(m).kind is RESOURCE:
             granted[m] = granted.get(m, 0) | mask
         else:
             for rid, rd in _descend(policy, m, ctx, memo)[0].items():

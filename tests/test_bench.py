@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -193,6 +194,28 @@ def test_workload_is_deterministic_and_per_user():
     assert len(pairs) == 20 * 30
     with pytest.raises(ConfigInvalid):
         build_workload(policy, gt, "bogus")
+
+
+# sha256 of workload_to_json for the standard profile at n=400, seed 1234, per mode
+WORKLOAD_SHA256 = {
+    "per_user": "69787b6dce8ba6b737f04491d86a58010daf816e434b7e98f969913197d14a96",
+    "all_pairs_sampled": "a9b8967abf60b92cc6b3bf09a774bfad050e066a0c85a135474684588d6b0df4",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(WORKLOAD_SHA256))
+def test_workload_bytes_are_frozen_and_contexts_shared(mode):
+    policy, gt = generate(config_for_scale(400, seed=1234))
+    cap = None if mode == "per_user" else 3000
+    queries = build_workload(policy, gt, mode, cap, 1234)
+    text = workload_to_json(queries)
+    assert hashlib.sha256(text.encode()).hexdigest() == WORKLOAD_SHA256[mode]
+    # one context object per acting account, however many queries it serves
+    by_account = {}
+    for q in queries:
+        assert q.ctx == EvaluationContext(gt.eval_timestamp, gt.user_account[q.user])
+        assert by_account.setdefault(q.ctx.acting_account, q.ctx) is q.ctx
+    assert len(by_account) == len({gt.user_account[q.user] for q in queries}) > 1
 
 
 def test_measure_fp_hypergraph_exact_and_ladder():

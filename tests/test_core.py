@@ -27,7 +27,7 @@ from hyperpam.core import (
     _own_entries,
 )
 from hyperpam.detect import EscalationFinding, OverPrivilegeFinding
-from hyperpam.engine import AccessDecision, AccessPath
+from hyperpam.engine import AccessDecision, AccessPath, EvaluationContext, PrivilegeQuery
 from hyperpam.errors import (
     DuplicateName,
     EmptyPermissions,
@@ -694,7 +694,7 @@ def test_bulk_records_carry_no_instance_dict():
     # a policy holds thousands of vertex and edge records and a pass thousands
     # of answers and findings, so each record class declares slots
     for cls in (Vertex, Hyperedge, AccessPath, AccessDecision, EscalationFinding,
-                OverPrivilegeFinding, PermissionSet):
+                OverPrivilegeFinding, PermissionSet, EvaluationContext, PrivilegeQuery):
         assert "__dict__" not in vars(cls), cls.__name__
 
 

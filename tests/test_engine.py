@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from datetime import timedelta
 
 import pytest
@@ -51,6 +52,20 @@ def test_minimal_grant_allows_read_only():
     assert d.witness.edges[0] == ids["e1"] and ids["e2"] in d.witness.edges
     d2 = check_privilege(p, PrivilegeQuery(ids["alice"], "Write", ids["bucket"], CTX))
     assert not d2.allowed and d2.witness is None
+
+
+def test_query_records_survive_a_pickle_round_trip():
+    # slotted frozen records carry no __dict__, so pickling must go through
+    # their slots; worker processes receive queries this way
+    ctx = EvaluationContext(EPOCH + timedelta(hours=3), "acct-dev", {"ticket", "oncall"})
+    q = PrivilegeQuery(4, "Read", 7, ctx)
+    for obj in (ctx, q):
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj) and type(back) is type(obj)
+    back = pickle.loads(pickle.dumps(q))
+    assert back.ctx.timestamp.tzinfo is not None and back.ctx.approvals == {"ticket", "oncall"}
+    with pytest.raises(AttributeError):
+        back.op = "Write"
 
 
 def test_empty_policy_denies():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 from datetime import timedelta
 
 import pytest
 
+from hyperpam.bench import build_workload
 from hyperpam.core import HyperedgeKind, SameAccount, TimeWindow, VertexKind
 from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
 from hyperpam.errors import ConfigInvalid, InsufficientEntities
@@ -227,6 +229,16 @@ POLICY_SHA256 = {
 }
 
 
+# The query kernel's answers on the per_user workload (seed 1234) of the
+# standard profile and of the fixture: the sum of traversal_ops, and the sha256
+# of the decision lines [allowed, witness edges]. Any change to what a check
+# decides, which witness it picks or what it counts shows here.
+QUERY_DIGEST = {
+    "standard": (23857, "fcf4ca4fd5c5629422c33d85f1630faf63a1a000f85ecee66bc514144c16bd97"),
+    "fixture": (7635, "b47372e06fa4751c53fe5effe2555390898218a99ba53a60d757712e121c6cef"),
+}
+
+
 # The ledger's bytes, pinned beside the policy's: GroundTruth.dumps of the same
 # three cases.
 LEDGER_SHA256 = {
@@ -246,6 +258,18 @@ def _generated(case):
 def test_generated_policy_bytes_are_frozen(case):
     policy, _ = _generated(case)
     assert hashlib.sha256(dumps_policy(policy).encode()).hexdigest() == POLICY_SHA256[case]
+
+
+@pytest.mark.parametrize("case", sorted(QUERY_DIGEST))
+def test_query_stream_answers_are_frozen(case):
+    policy, gt = _generated(case)
+    ops, lines = 0, []
+    for q in build_workload(policy, gt, "per_user", None, 1234):
+        d = check_privilege(policy, q)
+        ops += d.traversal_ops
+        lines.append([d.allowed, list(d.witness.edges) if d.witness else None])
+    digest = hashlib.sha256(json.dumps(lines).encode()).hexdigest()
+    assert (ops, digest) == QUERY_DIGEST[case]
 
 
 @pytest.mark.parametrize("case", sorted(LEDGER_SHA256))
