@@ -15,11 +15,9 @@ from .engine import (
     AccessDecision,
     AccessPath,
     EvaluationContext,
-    PathSearchResult,
     PrivilegeQuery,
     check_privilege,
     effective_permission_map,
-    find_access_paths,
 )
 from .detect import (
     AttackWindowReport,

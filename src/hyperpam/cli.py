@@ -196,6 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Privilege analysis over labeled policy hypergraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the evaluation context and depth limit of check, escalations and overprivileged
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--at", help="RFC3339 evaluation instant (default: now)")
+    query.add_argument("--account", help="acting account")
+    query.add_argument("--approve", action="append", help="approval tag (repeatable)")
+    query.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
 
     p = sub.add_parser("generate", help="generate a synthetic policy + ground truth")
     p.add_argument("--users", type=int, required=True)
@@ -217,33 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("check", help="answer one privilege query")
+    p = sub.add_parser("check", parents=[query], help="answer one privilege query")
     p.add_argument("--policy", required=True)
     p.add_argument("--user", required=True)
     p.add_argument("--op", required=True)
     p.add_argument("--resource", required=True)
-    p.add_argument("--at", help="RFC3339 evaluation instant (default: now)")
-    p.add_argument("--account", help="acting account")
-    p.add_argument("--approve", action="append", help="approval tag (repeatable)")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("escalations", help="detect role-chaining escalation paths")
+    p = sub.add_parser(
+        "escalations", parents=[query], help="detect role-chaining escalation paths"
+    )
     p.add_argument("--policy", required=True)
     p.add_argument("--sensitive", default="env=production", help="key=value tag")
-    p.add_argument("--at")
-    p.add_argument("--account")
-    p.add_argument("--approve", action="append")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=_cmd_escalations)
 
-    p = sub.add_parser("overprivileged", help="subjects exceeding required grants")
+    p = sub.add_parser(
+        "overprivileged", parents=[query], help="subjects exceeding required grants"
+    )
     p.add_argument("--policy", required=True)
     p.add_argument("--ground-truth", required=True)
-    p.add_argument("--at")
-    p.add_argument("--account")
-    p.add_argument("--approve", action="append")
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.set_defaults(func=_cmd_overprivileged)
 
     p = sub.add_parser("window", help="expired / soon-expiring time-window edges")

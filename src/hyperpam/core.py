@@ -206,9 +206,6 @@ class PolicyHypergraph:
         self._assign_out: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
         self._assign_in: dict[VertexId, dict[HyperedgeId, VertexId]] = {}
         self._assoc_incidence: dict[VertexId, dict[HyperedgeId, None]] = {}
-        # assignments without two members: validate() reports them and no walk
-        # follows them, so they are kept here rather than in the adjacency
-        self._misshapen: set[HyperedgeId] = set()
         self._next_vertex_id = 0
         self._next_edge_id = 0
 
@@ -273,8 +270,7 @@ class PolicyHypergraph:
         eid, members = edge.id, edge.members
         self._edges[eid] = edge
         if edge.kind is HyperedgeKind.ASSIGNMENT:
-            if len(members) != 2:
-                self._misshapen.add(eid)
+            if len(members) != 2:  # validate() reports it; no index holds it
                 return eid
             tail, head = members
             out = _own_entries(self._assign_out, tail)
@@ -393,18 +389,12 @@ class PolicyHypergraph:
         except KeyError:
             raise UnknownEdge(f"no hyperedge with id {eid}") from None
 
-    def has_edge(self, eid: HyperedgeId) -> bool:
-        return eid in self._edges
-
     def edges(self) -> Iterator[Hyperedge]:
         return iter(self._edges.values())
 
     @property
     def edge_count(self) -> int:
         return len(self._edges)
-
-    def edge_permissions(self, eid: HyperedgeId) -> PermissionSet:
-        return PermissionSet(self.universe, self.edge(eid).perm_mask)
 
     def remove_hyperedge(self, eid: HyperedgeId) -> None:
         """Remove the edge and every index entry that mentions it.
@@ -420,25 +410,12 @@ class PolicyHypergraph:
         elif len(edge.members) == 2:
             del self._assign_out[edge.tail][eid]
             del self._assign_in[edge.head][eid]
-        else:
-            self._misshapen.remove(eid)
 
     def set_active(self, eid: HyperedgeId, active: bool) -> None:
         self.edge(eid).active = bool(active)
 
-    def incident_edges(self, vid: VertexId, live_only: bool = True) -> set[HyperedgeId]:
-        """Ids of hyperedges whose member set includes ``vid``: the union of its
-        three indexes, plus any assignment without two members that lists it."""
-        if vid not in self._vertices:
-            raise UnknownVertex(f"no vertex with id {vid}")
-        ids = {*self._assign_out[vid], *self._assign_in[vid], *self._assoc_incidence[vid]}
-        ids.update(e for e in self._misshapen if vid in self._edges[e].members)
-        if live_only:
-            return {e for e in ids if self._edges[e].active}
-        return ids
-
-    # internal, unchecked accessors (ascending edge ids); the walks in engine and detect
-    # read _edges, _vertices, _assign_out, _assign_in and _assoc_incidence directly, read-only
+    # unchecked read-only views of the three indexes (ascending edge ids), for tests;
+    # the walks in engine and detect read _edges, _vertices and the tables directly
     def assignments_from(self, vid: VertexId) -> ItemsView[HyperedgeId, VertexId]:
         return self._assign_out[vid].items()
 

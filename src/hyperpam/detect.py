@@ -48,7 +48,6 @@ from .engine import (
     AccessPath,
     EvaluationContext,
     _ascend,
-    _Counter,
     _descend,
     _grants_at,
     _path_to,
@@ -163,7 +162,7 @@ def detect_escalations(
         best: dict = {}
         if vertices[role].kind is not USER_ATTR:
             return best
-        dist, up = _ascend(policy, role, ctx, max_depth - 1, _Counter())
+        dist, up, _ = _ascend(policy, role, ctx, max_depth - 1)
         for w, k in dist.items():
             if not k:
                 continue
@@ -283,7 +282,7 @@ def detect_over_privileged(
             return 0
         line = lineages.get(v)
         if line is None:
-            line = lineages[v] = tuple(_ascend(policy, v, ctx, math.inf, _Counter())[0])
+            line = lineages[v] = tuple(_ascend(policy, v, ctx, math.inf)[0])
         mask = 0
         for a in line:
             mask |= entries.get(a, 0)

@@ -17,7 +17,7 @@ vertex-hyperedge path. A path is valid when:
 * every edge on the path is active and its constraints hold under the
   query context.
 
-Decisions and detection passes are built from two walks. An ascent climbs
+Decisions and detection passes use exactly two walks. An ascent climbs
 live, ctx-satisfied assignments from a user through the user attributes
 above it, or from a resource through the resource attributes above it, and
 records each reached vertex's distance and one step back toward the start.
@@ -28,8 +28,7 @@ probes every association in the user's closure against the resource's
 closure, and rebuilds paths from the recorded steps for the shortest
 candidates only. Witnesses are shortest, with ties broken by the
 lexicographically smallest hyperedge-id sequence, so identical inputs
-always produce identical answers. ``find_access_paths`` instead enumerates
-every valid path, best first.
+always produce identical answers.
 
 Query work is metered in implementation-neutral units so the engine can be
 compared against the baseline models: +1 per adjacency fetch (every vertex
@@ -43,7 +42,6 @@ directly.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator, Optional
@@ -112,19 +110,6 @@ class AccessDecision:
     traversal_ops: int
 
 
-@dataclass
-class PathSearchResult:
-    paths: list[AccessPath]
-    truncated: bool
-
-
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
 def edge_satisfied(
     policy: PolicyHypergraph, edge: Hyperedge, ctx: EvaluationContext
 ) -> bool:
@@ -170,11 +155,11 @@ def _ascend(
     start: VertexId,
     ctx: EvaluationContext,
     max_depth: float,
-    count: _Counter,
-) -> tuple[dict[VertexId, int], _Steps]:
+) -> tuple[dict[VertexId, int], _Steps, int]:
     """Distances of ``start`` and the attributes it ascends to over live,
-    ctx-satisfied assignments, at most ``max_depth - 1`` hops, and each
-    attribute's step ``(edge id, vertex one level closer to start)``.
+    ctx-satisfied assignments, at most ``max_depth - 1`` hops, each
+    attribute's step ``(edge id, vertex one level closer to start)``, and
+    the walk's work in traversal ops.
 
     A user-side walk keeps the first step found in BFS order, so following
     steps back spells the lexicographically smallest shortest path read from
@@ -212,8 +197,7 @@ def _ascend(
                 queue.append(head)
             elif lowest and hd == d + 1 and eid < step[head][0]:
                 step[head] = (eid, v)
-    count.n += n
-    return dist, step
+    return dist, step, n
 
 
 def _descend(
@@ -270,7 +254,6 @@ def _extend(
     edges: tuple[int, ...],
     verts: tuple[VertexId, ...],
     down: _Steps,
-    count: _Counter,
 ) -> tuple[tuple[int, ...], tuple[VertexId, ...]]:
     """Extend a path ending in the resource closure by the lexicographically
     smallest shortest descent to the resource, one recorded edge per hop.
@@ -279,7 +262,6 @@ def _extend(
     """
     v = verts[-1]
     while v in down:
-        count.n += 1  # descent hop
         eid, v = down[v]
         edges += (eid,)
         verts += (v,)
@@ -295,13 +277,10 @@ def check_privilege(
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
     opbit = _check_query(policy, q)
-    count = _Counter()
     ctx = q.ctx
 
-    rdist, down = _ascend(policy, q.resource, ctx, max_depth, count)
-    resource_ops = count.n
-    udist, up = _ascend(policy, q.user, ctx, max_depth, count)
-    user_ops = count.n - resource_ops
+    rdist, down, resource_ops = _ascend(policy, q.resource, ctx, max_depth)
+    udist, up, user_ops = _ascend(policy, q.user, ctx, max_depth)
 
     edges, assoc = policy._edges, policy._assoc_incidence
     bridge_ops = 0
@@ -334,99 +313,16 @@ def check_privilege(
         return AccessDecision(False, None, resource_ops + user_ops + bridge_ops)
 
     # edge sequences of distinct candidates differ, so min() ranks by edges
-    count.n = 0
-    witnesses = []
+    witnesses, descent_ops = [], 0
     for v, bridge, exit_v in candidates:
         pedges, pverts = _path_to(up, v)
-        witnesses.append(_extend(pedges + (bridge,), pverts + (exit_v,), down, count))
-    descent_ops = count.n
+        pedges += (bridge,)
+        witness = _extend(pedges, pverts + (exit_v,), down)
+        descent_ops += len(witness[0]) - len(pedges)  # one op per descent hop
+        witnesses.append(witness)
     path_edges, verts = min(witnesses)
     ops = resource_ops + user_ops + bridge_ops + descent_ops
     return AccessDecision(True, AccessPath(verts, path_edges), ops)
-
-
-def find_access_paths(
-    policy: PolicyHypergraph,
-    user: VertexId,
-    resource: VertexId,
-    op: str,
-    ctx: EvaluationContext,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    max_paths: int = 64,
-) -> PathSearchResult:
-    """All distinct valid simple paths, shortest first, deterministic order.
-
-    Stops after max_paths results; ``truncated`` reports whether more exist.
-    """
-    q = PrivilegeQuery(user, op, resource, ctx)
-    opbit = _check_query(policy, q)
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    if max_paths < 1:
-        raise ValueError("max_paths must be >= 1")
-
-    paths: list[AccessPath] = []
-    # Best-first over partial paths keyed by (length, edge seq, vertex seq):
-    # pops come out in global shortest-then-lexicographic order, so completed
-    # paths are emitted exactly in the contract order and truncation keeps a
-    # true prefix of it.
-    heap: list[
-        tuple[int, tuple[int, ...], tuple[VertexId, ...], bool, bool]
-    ] = [(0, (), (user,), False, False)]
-    while heap:
-        depth, edges, verts, crossed, complete = heapq.heappop(heap)
-        if complete:
-            paths.append(AccessPath(verts, edges))
-            if len(paths) > max_paths:
-                return PathSearchResult(paths[:max_paths], True)
-            continue
-        if depth >= max_depth:
-            continue
-        v = verts[-1]
-        if not crossed:
-            for eid, w in policy.assignments_from(v):
-                edge = policy.edge(eid)
-                if not edge.active or not edge_satisfied(policy, edge, ctx):
-                    continue
-                if policy.vertex(w).kind is USER_ATTR and w not in verts:
-                    heapq.heappush(
-                        heap, (depth + 1, edges + (eid,), verts + (w,), False, False)
-                    )
-            for eid in policy.associations_at(v):
-                edge = policy.edge(eid)
-                if not edge.active or not (edge.perm_mask & opbit):
-                    continue
-                if not edge_satisfied(policy, edge, ctx):
-                    continue
-                for m in set(edge.members):
-                    if m == resource:
-                        heapq.heappush(
-                            heap, (depth + 1, edges + (eid,), verts + (m,), True, True)
-                        )
-                    elif (
-                        policy.vertex(m).kind is RESOURCE_ATTR
-                        and m not in verts
-                    ):
-                        heapq.heappush(
-                            heap, (depth + 1, edges + (eid,), verts + (m,), True, False)
-                        )
-        else:
-            for eid, tail in policy.assignments_to(v):
-                edge = policy.edge(eid)
-                if not edge.active or not edge_satisfied(policy, edge, ctx):
-                    continue
-                if tail == resource:
-                    heapq.heappush(
-                        heap, (depth + 1, edges + (eid,), verts + (tail,), True, True)
-                    )
-                elif (
-                    policy.vertex(tail).kind is RESOURCE_ATTR
-                    and tail not in verts
-                ):
-                    heapq.heappush(
-                        heap, (depth + 1, edges + (eid,), verts + (tail,), True, False)
-                    )
-    return PathSearchResult(paths, False)
 
 
 def live_grants(
@@ -443,7 +339,7 @@ def live_grants(
     the depth limit still allows below it. ``subject`` may be a user or a
     user attribute.
     """
-    closure, _ = _ascend(policy, subject, ctx, max_depth, _Counter())
+    closure = _ascend(policy, subject, ctx, max_depth)[0]
     for v, d in closure.items():
         budget = max_depth - d - 1
         if budget >= 0:

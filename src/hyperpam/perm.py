@@ -66,17 +66,6 @@ class PermissionUniverse:
     def names_of(self, mask: int) -> tuple[str, ...]:
         return tuple(n for i, n in enumerate(self.names) if mask >> i & 1)
 
-    def set_of(self, *names: str) -> "PermissionSet":
-        return PermissionSet(self, self.mask_of(names))
-
-    @property
-    def empty(self) -> "PermissionSet":
-        return PermissionSet(self, 0)
-
-    @property
-    def full(self) -> "PermissionSet":
-        return PermissionSet(self, self.full_mask)
-
 
 @dataclass(frozen=True, slots=True)
 class PermissionSet:

@@ -160,6 +160,20 @@ def all_triple_probes(
     ]
 
 
+def incident(policy: PolicyHypergraph, vid: VertexId, live_only: bool = True) -> set[int]:
+    """Ids of the hyperedges the three indexes list at ``vid``, only the
+    active ones unless ``live_only`` is false."""
+    policy.vertex(vid)  # raises UnknownVertex for a foreign id
+    ids = {
+        *(eid for eid, _ in policy.assignments_from(vid)),
+        *(eid for eid, _ in policy.assignments_to(vid)),
+        *policy.associations_at(vid),
+    }
+    if live_only:
+        return {e for e in ids if policy.edge(e).active}
+    return ids
+
+
 def co_membership_permissions(
     policy: PolicyHypergraph, user: VertexId, resource: VertexId
 ) -> PermissionSet:
@@ -167,9 +181,7 @@ def co_membership_permissions(
 
     The empty family intersects to the full universe by convention.
     """
-    common = policy.incident_edges(user, live_only=True) & policy.incident_edges(
-        resource, live_only=True
-    )
+    common = incident(policy, user) & incident(policy, resource)
     mask = policy.universe.full_mask
     for eid in sorted(common):
         mask &= policy.edge(eid).perm_mask

@@ -20,7 +20,6 @@ from hyperpam.core import HyperedgeKind, PolicyHypergraph, VertexKind
 from hyperpam.engine import (
     EvaluationContext,
     PrivilegeQuery,
-    _Counter,
     _ascend,
     _extend,
     check_privilege,
@@ -36,6 +35,13 @@ from .oracle import enumerate_paths
 
 MAX_DEPTH = 6
 CTX = EvaluationContext(EPOCH, "a")
+
+
+class _Counter:
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
 
 
 def greedy_descend(policy, start, rdist, ctx, count):
@@ -72,10 +78,10 @@ def greedy_descend(policy, start, rdist, ctx, count):
 
 def _assert_descents_match_greedy(policy, ctx, max_depth=MAX_DEPTH):
     for r in policy.vertices_of_kind(VertexKind.RESOURCE):
-        rdist, down = _ascend(policy, r.id, ctx, max_depth, _Counter())
+        rdist, down, _ = _ascend(policy, r.id, ctx, max_depth)
         for v in rdist:
             edges, verts = greedy_descend(policy, v, rdist, ctx, _Counter())
-            assert _extend((), (v,), down, _Counter()) == (edges, (v,) + verts)
+            assert _extend((), (v,), down) == (edges, (v,) + verts)
 
 
 def _assert_witnesses_match_oracle(policy, ctx, max_depth=MAX_DEPTH):
@@ -136,10 +142,10 @@ def _tie_policy():
 def test_later_discovered_attribute_with_smaller_edge_id_wins():
     p, ids = _tie_policy()
     assert ids["r_a"] < ids["r_b"] < ids["b_top"] < ids["a_top"]
-    rdist, down = _ascend(p, ids["r"], CTX, MAX_DEPTH, _Counter())
+    rdist, down, _ = _ascend(p, ids["r"], CTX, MAX_DEPTH)
     assert rdist[ids["a"]] == rdist[ids["b"]] == 1
     assert down[ids["top"]] == (ids["b_top"], ids["b"])
-    assert _extend((), (ids["top"],), down, _Counter()) == (
+    assert _extend((), (ids["top"],), down) == (
         (ids["b_top"], ids["r_b"]),
         (ids["top"], ids["b"], ids["r"]),
     )

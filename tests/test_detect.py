@@ -19,7 +19,7 @@ from hyperpam.detect import (
     revoke_expired,
 )
 from hyperpam.engine import EvaluationContext, PrivilegeQuery, check_privilege
-from hyperpam.errors import GroundTruthMismatch
+from hyperpam.errors import GroundTruthMismatch, UnknownEdge
 from hyperpam.generator import (
     EPOCH,
     EVAL_TS,
@@ -182,9 +182,9 @@ def test_escalation_pass_ascends_each_held_role_once(monkeypatch):
     starts = []
     real = detect_mod._ascend
 
-    def counting(policy, start, ctx, max_depth, count):
+    def counting(policy, start, ctx, max_depth):
         starts.append(start)
-        return real(policy, start, ctx, max_depth, count)
+        return real(policy, start, ctx, max_depth)
 
     monkeypatch.setattr(detect_mod, "_ascend", counting)
     findings = detect_escalations(policy, ("env", "production"), gt.context_for(0))
@@ -304,8 +304,9 @@ def test_revoke_expired_idempotent_and_denies():
     ctx = EvaluationContext(now, "a")
     assert check_privilege(p, PrivilegeQuery(u, "Read", r, ctx)).allowed
     assert revoke_expired(p, now) == 1
-    assert not p.has_edge(e_jit)
-    assert p.has_edge(e_plain)
+    with pytest.raises(UnknownEdge):
+        p.edge(e_jit)
+    assert p.edge(e_plain).id == e_plain
     assert revoke_expired(p, now) == 0
     assert not check_privilege(p, PrivilegeQuery(u, "Write", r, ctx)).allowed
     assert check_privilege(p, PrivilegeQuery(u, "Read", r, ctx)).allowed

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from hyperpam.core import HyperedgeKind, PolicyHypergraph, TimeWindow, VertexKind
 from hyperpam.engine import (
+    DEFAULT_MAX_DEPTH,
     EvaluationContext,
     PrivilegeQuery,
     check_privilege,
     effective_permission_map,
-    find_access_paths,
 )
 from hyperpam.errors import KindMismatch, UnknownPermission, UnknownVertex
 from hyperpam.generator import EPOCH
@@ -27,6 +27,7 @@ from .builders import (
     random_context,
     random_policy,
 )
+from .oracle import enumerate_paths
 
 CTX = EvaluationContext(EPOCH + timedelta(hours=1), "acct-dev")
 
@@ -92,10 +93,10 @@ def test_direct_two_edge_path_via_resource_member():
     p, ids = build_iam_example()
     scratch = p.add_vertex(VertexKind.RESOURCE_ATTR, "scratch-tier")
     e3 = p.add_association([ids["dev"]], [scratch, ids["bucket"]], ids["pc"], ["Write"])
-    res = find_access_paths(p, ids["alice"], ids["bucket"], "Write", CTX)
-    assert len(res.paths) == 1 and not res.truncated
-    assert res.paths[0].edges == (ids["e1"], e3)
-    assert len(res.paths[0].edges) == 2
+    paths = enumerate_paths(p, ids["alice"], ids["bucket"], "Write", CTX, DEFAULT_MAX_DEPTH)
+    assert [edges for _, edges in paths] == [(ids["e1"], e3)]
+    d = check_privilege(p, PrivilegeQuery(ids["alice"], "Write", ids["bucket"], CTX))
+    assert d.allowed and (d.witness.vertices, d.witness.edges) == paths[0]
 
 
 def test_jit_window_allows_inside_denies_after():

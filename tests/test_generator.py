@@ -110,8 +110,8 @@ def test_injected_chains_round_trip():
     targets = [c.target_role for c in gt.chains]
     assert len(set(targets)) == 3
     for chain in gt.chains:
-        assert policy.has_edge(chain.assignment_edge)
-        assert policy.has_edge(chain.association_edge)
+        assert policy.edge(chain.assignment_edge).kind is HyperedgeKind.ASSIGNMENT
+        assert policy.edge(chain.association_edge).kind is HyperedgeKind.ASSOCIATION
         assert chain.finding_users, "chain sources must have users"
         # the chained access really exists
         uid = chain.finding_users[0]

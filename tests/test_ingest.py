@@ -74,7 +74,7 @@ def test_lowering_builds_expected_hyperedges():
     assert len(assocs) == 1
     e2 = assocs[0]
     assert set(e2.members) == {dev, s3, pc}
-    assert policy.edge_permissions(e2.id).names() == ("Read",)
+    assert policy.universe.names_of(e2.perm_mask) == ("Read",)
 
     d = check_privilege(policy, PrivilegeQuery(alice, "Read", bucket, CTX))
     assert d.allowed
@@ -100,7 +100,7 @@ def test_role_chaining_and_passrole_mapping():
     assoc = next(
         e for e in policy.edges() if e.kind is HyperedgeKind.ASSOCIATION
     )
-    assert set(policy.edge_permissions(assoc.id).names()) == {
+    assert set(policy.universe.names_of(assoc.perm_mask)) == {
         "PassRole",
         "RunInstances",
     }

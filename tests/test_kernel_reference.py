@@ -1,9 +1,9 @@
 """The query kernel against its earlier, plainer form.
 
-``check_privilege`` and ``_ascend`` below, with the ``edge_satisfied`` and
-``_check_query`` they call, are the engine's walks as they were written
-before the walks read the graph's index tables directly and counted in
-locals. They are kept verbatim as the reference: the engine's kernel must
+``check_privilege`` and ``_ascend`` below, with the ``edge_satisfied``,
+``_check_query``, ``_Counter`` and ``_extend`` they use, are the engine's
+walks as they were written before the walks read the graph's index tables
+directly and returned their counts. They are kept verbatim as the reference: the engine's kernel must
 give the same decision, witness and ``traversal_ops`` for every query at
 every depth limit, and its ascents the same distances, steps and counts.
 """
@@ -32,8 +32,6 @@ from hyperpam.engine import (
     AccessPath,
     EvaluationContext,
     PrivilegeQuery,
-    _Counter,
-    _extend,
     _path_to,
     _Steps,
 )
@@ -47,6 +45,13 @@ from .test_descent import _out_of_order_policy, _tie_policy
 from .test_engine import build_iam_example
 
 DEPTHS = range(1, 9)
+
+
+class _Counter:
+    __slots__ = ("n",)
+
+    def __init__(self):
+        self.n = 0
 
 
 def edge_satisfied(
@@ -129,6 +134,25 @@ def _ascend(
                 step[head] = (eid, v)
     return dist, step
 
+def _extend(
+    edges: tuple[int, ...],
+    verts: tuple[VertexId, ...],
+    down: _Steps,
+    count: _Counter,
+) -> tuple[tuple[int, ...], tuple[VertexId, ...]]:
+    """Extend a path ending in the resource closure by the lexicographically
+    smallest shortest descent to the resource, one recorded edge per hop.
+    Greedy is exact: each recorded child sits one level closer to the
+    resource, so the smallest edge id at each step minimizes the sequence.
+    """
+    v = verts[-1]
+    while v in down:
+        count.n += 1  # descent hop
+        eid, v = down[v]
+        edges += (eid,)
+        verts += (v,)
+    return edges, verts
+
 def check_privilege(
     policy: PolicyHypergraph,
     q: PrivilegeQuery,
@@ -202,10 +226,11 @@ def _assert_kernel_matches(policy, queries, depths=DEPTHS):
             if v.kind is VertexKind.POLICY_CLASS:
                 continue
             for max_depth in (*depths, math.inf):
-                ref_count, count = _Counter(), _Counter()
+                ref_count = _Counter()
                 want = _ascend(policy, v.id, ctx, max_depth, ref_count)
-                assert engine._ascend(policy, v.id, ctx, max_depth, count) == want
-                assert count.n == ref_count.n, (v, max_depth)
+                dist, step, ops = engine._ascend(policy, v.id, ctx, max_depth)
+                assert (dist, step) == want
+                assert ops == ref_count.n, (v, max_depth)
     return allowed
 
 
