@@ -33,7 +33,6 @@ from .core import (
     VertexKind,
 )
 from .engine import (
-    DEFAULT_MAX_DEPTH,
     AccessDecision,
     EvaluationContext,
     PrivilegeQuery,
@@ -332,7 +331,6 @@ def detect_all(
     model: str,
     policy: PolicyHypergraph,
     workload: Iterable[PrivilegeQuery],
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> DetectRun:
     """Run the whole workload through one model, timing build and detect apart."""
     queries = list(workload)
@@ -359,7 +357,7 @@ def detect_all(
         build_s = 0.0
         size = policy.edge_count
         t0 = time.perf_counter()
-        decisions = [check_privilege(policy, q, max_depth) for q in queries]
+        decisions = [check_privilege(policy, q) for q in queries]
         detect_s = time.perf_counter() - t0
     else:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")

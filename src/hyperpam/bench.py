@@ -5,7 +5,7 @@ policy and workload (their hashes are logged in the CSV seed column), the
 wall clock is monotonic, build and detection phases are timed separately,
 and the reported detection time is the median over repeats after one
 discarded warm-up run. The false-positive rate scores the decisions those
-runs made (every run must make the same ones, at the sweep's ``max_depth``)
+runs made (every run must make the same ones, at the engine's default depth)
 against ground truth; no query is decided a second time for scoring.
 Everything except the timing columns reproduces byte-for-byte from a seed.
 """
@@ -27,11 +27,11 @@ from .baselines import (  # noqa: F401 - perfbench/tracing.py wraps them under t
     dag_check,
 )
 from .core import PolicyHypergraph, VertexKind
-from .engine import DEFAULT_MAX_DEPTH, EvaluationContext, PrivilegeQuery
+from .engine import EvaluationContext, PrivilegeQuery
 from .engine import (  # noqa: F401 - perfbench/tracing.py wraps it under this module
     effective_permission_map,
 )
-from .errors import ConfigInvalid, DegenerateInput, GroundTruthMismatch
+from .errors import ConfigInvalid, DegenerateInput, GroundTruthMismatch, SchemaError
 from .generator import GenConfig, GroundTruth, config_for_scale, generate
 from .rng import Rng
 from .serialize import dumps_policy, write_atomic
@@ -215,7 +215,6 @@ def run_sweep(
     repeats: int = 5,
     seed: int = 0,
     abac_max_n: Optional[int] = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
     """One record per (model, n); detect time is the median over repeats."""
@@ -223,6 +222,8 @@ def run_sweep(
         raise ConfigInvalid("need n_start <= n_end and a positive step")
     if repeats < 1:
         raise ConfigInvalid("repeats must be >= 1")
+    if queries_per_n is not None and queries_per_n < 1:
+        raise ConfigInvalid("queries_per_n must be >= 1")
     for m in models:
         if m not in MODELS:
             raise ConfigInvalid(f"unknown model {m!r}")
@@ -245,7 +246,7 @@ def run_sweep(
             builds, detects = [], []
             runs = []
             for _ in range(repeats + 1):  # first run is the discarded warm-up
-                run = detect_all(model, policy, workload, max_depth)
+                run = detect_all(model, policy, workload)
                 runs.append(run)
                 builds.append(run.build_time_s)
                 detects.append(run.detect_time_s)
@@ -296,6 +297,8 @@ def emit_csv(records: Sequence[BenchRecord], path: str) -> None:
 def read_csv(path: str) -> list[dict[str, str]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise SchemaError(f"{path}: empty CSV, want a header line")
     header = lines[0].split(",")
     return [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 

@@ -25,7 +25,7 @@ from .engine import (
     PrivilegeQuery,
     check_privilege,
 )
-from .errors import PolicyError
+from .errors import PolicyError, SchemaError
 from .generator import GenConfig, GroundTruth, generate
 from .ingest import parse_iam, to_hypergraph
 from .serialize import load_policy, parse_rfc3339, save_policy, write_atomic
@@ -179,13 +179,21 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    rows = bench_mod.read_csv(args.infile)
-    models = [args.model] if args.model else sorted({r["model"] for r in rows})
-    for model in models:
-        points = [
-            (float(r["n"]), float(r[args.metric])) for r in rows if r["model"] == model
-        ]
-        fit = bench_mod.fit_power_law(points)
+    points: dict[str, list[tuple[float, float]]] = {}
+    for i, row in enumerate(bench_mod.read_csv(args.infile), 1):
+        where, cells = f"{args.infile}: data row {i}", []
+        for column in ("model", "n", args.metric):
+            try:
+                cells.append(row[column] if column == "model" else float(row[column]))
+            except KeyError:
+                raise SchemaError(f"{where} has no {column!r} column") from None
+            except ValueError:
+                raise SchemaError(
+                    f"{where}, column {column!r}: {row[column]!r} is not a number"
+                ) from None
+        points.setdefault(cells[0], []).append((cells[1], cells[2]))
+    for model in [args.model] if args.model else sorted(points):
+        fit = bench_mod.fit_power_law(points.get(model, []))
         print(f"{model}: {args.metric} ~ {fit.a:.4e} * n^{fit.b:.4f} (R2={fit.r2:.4f})")
     return 0
 

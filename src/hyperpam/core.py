@@ -50,9 +50,6 @@ class VertexKind(Enum):
     RESOURCE = "resource"
     RESOURCE_ATTR = "resource_attr"
     POLICY_CLASS = "policy_class"
-    # Permissions exist as label values in the universe, not as stored
-    # vertices; the kind is kept so the partition is complete.
-    PERMISSION = "permission"
 
 
 # module globals for walks that test kinds per step: cheaper to read than VertexKind.X
@@ -220,10 +217,6 @@ class PolicyHypergraph:
         tags: Optional[dict[str, str]] = None,
         _id: Optional[VertexId] = None,
     ) -> VertexId:
-        if kind is VertexKind.PERMISSION:
-            raise KindMismatch(
-                "permissions are labels in the policy universe, not vertices"
-            )
         if not name:
             raise DuplicateName("vertex name must be non-empty")
         key = (kind, name)

@@ -69,6 +69,12 @@ EXPIRED_WINDOW = (EPOCH, EPOCH + timedelta(days=10))
 # never collide with intended ones.
 BASE_PERM_POOL = ("Read", "Write", "Execute", "List", "PassRole", "AssumeRole")
 EXCESS_PERM_CYCLE = (("Delete",), ("RunInstances",), ("Delete", "RunInstances"))
+# the fixed policy shape of the module docstring
+ASSIGNMENTS_PER_USER = (1, 5)
+TYPES_PER_ROLE = (4, 9)
+MAX_PERMS_PER_ROLE = 10
+ZIPF_S = 1.0
+ACCOUNTS = tuple(f"acct-{i}" for i in range(4))
 
 PROFILES = ("standard", "sqrt-grouping")
 
@@ -78,39 +84,21 @@ class GenConfig:
     n_users: int
     n_roles: int
     n_resources: int
-    assignments_per_user: tuple[int, int] = (1, 5)
-    perms_per_role: tuple[int, int] = (1, 10)
-    zipf_s: float = 1.0
-    attr_ratio: float = 0.1
     n_resource_types: int = 15
-    types_per_role: tuple[int, int] = (4, 9)
     pct_temporal: float = 0.2
     pct_scoped: float = 0.1
     injected_chains: int = 0
     injected_excess: int = 0
-    n_accounts: int = 4
     profile: str = "standard"
     seed: int = 0
 
     def validate(self) -> None:
         if min(self.n_users, self.n_roles, self.n_resources) < 0:
             raise ConfigInvalid("entity counts must be >= 0")
-        for name in ("assignments_per_user", "perms_per_role", "types_per_role"):
-            lo, hi = getattr(self, name)
-            if lo < 1 or hi < lo:
-                raise ConfigInvalid(f"{name} range [{lo},{hi}] is empty or non-positive")
-        if self.zipf_s <= 0:
-            raise ConfigInvalid("zipf_s must be > 0")
         for name in ("pct_temporal", "pct_scoped"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigInvalid(f"{name} must be in [0, 1]")
-        if self.attr_ratio <= 0:
-            raise ConfigInvalid("attr_ratio must be > 0")
-        if self.n_resource_types < 1:
-            raise ConfigInvalid("need at least one resource type")
-        if self.n_accounts < 1:
-            raise ConfigInvalid("need at least one account")
         if self.injected_chains < 0 or self.injected_excess < 0:
             raise ConfigInvalid("injection counts must be >= 0")
         if self.profile not in PROFILES:
@@ -120,7 +108,7 @@ class GenConfig:
 
 
 def config_for_scale(n: int, seed: int = 0, profile: str = "standard", **overrides) -> GenConfig:
-    """Scale-parameter template: n users, attr_ratio*n roles, n/2 resources."""
+    """Scale-parameter template: n users, n/10 roles, n/2 resources."""
     cfg = GenConfig(
         n_users=n,
         n_roles=max(1, round(0.1 * n)),
@@ -225,15 +213,12 @@ class GroundTruth:
                 by_type.setdefault(tid, []).append(rid)
         self.resources_by_type = {t: tuple(by_type[t]) for t in sorted(by_type)}
 
-    def context_for(self, user: VertexId, approvals: frozenset[str] = frozenset()) -> EvaluationContext:
+    def context_for(self, user: VertexId) -> EvaluationContext:
         """Canonical evaluation context: generation epoch, acting as the user."""
-        return EvaluationContext(
-            self.eval_timestamp, self.user_account.get(user, ""), approvals
-        )
+        return EvaluationContext(self.eval_timestamp, self.user_account.get(user, ""))
 
     def is_intended(self, user: VertexId, opbit: int, resource: VertexId,
-                    ctx: Optional[EvaluationContext] = None) -> bool:
-        ctx = ctx or self.context_for(user)
+                    ctx: EvaluationContext) -> bool:
         types = self.resource_types.get(resource, ())
         for role in self.user_roles.get(user, ()):
             for g in self._grants_by_role.get(role, ()):
@@ -356,10 +341,6 @@ def _load_cell(kind: str, value: Any, universe: PermissionUniverse, where: str) 
         return universe.mask_of(items) if kind == "p" else items
     except UnknownPermission as exc:
         raise SchemaError(f"{where}: {exc}") from None
-
-
-def _accounts(n: int) -> list[str]:
-    return [f"acct-{i}" for i in range(n)]
 
 
 def _type_census(cfg: GenConfig) -> tuple[int, int]:
@@ -490,7 +471,6 @@ def generate(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
 
 def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     root = Rng(cfg.seed)
-    accounts = _accounts(cfg.n_accounts)
     draft = _Draft("cloud")
     policy = draft.policy
 
@@ -501,7 +481,7 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         policy.add_vertex(
             VertexKind.RESOURCE_ATTR,
             f"type-{i:02d}",
-            account=rng_t.choice(accounts),
+            account=rng_t.choice(ACCOUNTS),
             tags={"env": "production" if i >= n_dev else "development"},
         )
         for i in range(cfg.n_resource_types)
@@ -514,11 +494,11 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     rng_r = root.split("resources")
     width = max(4, len(str(max(cfg.n_resources, 1))))
     for i in range(cfg.n_resources):
-        draft.resource(f"res-{i:0{width}d}", rng_r.choice(accounts), [type_ids[i % len(type_ids)]])
+        draft.resource(f"res-{i:0{width}d}", rng_r.choice(ACCOUNTS), [type_ids[i % len(type_ids)]])
 
     rng_role = root.split("roles")
     role_ids = [
-        policy.add_vertex(VertexKind.USER_ATTR, f"role-{i:03d}", account=rng_role.choice(accounts))
+        policy.add_vertex(VertexKind.USER_ATTR, f"role-{i:03d}", account=rng_role.choice(ACCOUNTS))
         for i in range(cfg.n_roles)
     ]
     # the last roles are reserved, grant-free, as chain targets
@@ -527,10 +507,10 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
 
     rng_u = root.split("users")
     rng_assign = root.split("assignments")
-    lo, hi = cfg.assignments_per_user
+    lo, hi = ASSIGNMENTS_PER_USER
     uwidth = max(4, len(str(max(cfg.n_users, 1))))
     for i in range(cfg.n_users):
-        acct = rng_u.choice(accounts)
+        acct = rng_u.choice(ACCOUNTS)
         mine = []
         if base_roles:
             k = rng_assign.randint(lo, min(hi, len(base_roles)))
@@ -538,13 +518,11 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         draft.user(f"user-{i:0{uwidth}d}", acct, mine)
 
     universe = policy.universe
-    base_pool = [p for p in BASE_PERM_POOL if p in universe]
     rng_grant = root.split("grants")
-    lo, hi = cfg.types_per_role
+    lo, hi = TYPES_PER_ROLE
     for role in base_roles if base_types else ():
-        p = min(zipf_sample(rng_grant, cfg.perms_per_role[1], cfg.zipf_s), len(base_pool))
-        p = max(p, cfg.perms_per_role[0])
-        mask = universe.mask_of(rng_grant.sample(base_pool, min(p, len(base_pool))))
+        p = min(zipf_sample(rng_grant, MAX_PERMS_PER_ROLE, ZIPF_S), len(BASE_PERM_POOL))
+        mask = universe.mask_of(rng_grant.sample(BASE_PERM_POOL, p))
         t = rng_grant.randint(lo, max(lo, min(hi, len(base_types))))
         for tid in sorted(rng_grant.sample(base_types, min(t, len(base_types)))):
             window = None
@@ -577,7 +555,6 @@ def _generate_standard(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
 def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     """sqrt-grouping profile: ceil(sqrt(n)) groups each side, cross associated."""
     root = Rng(cfg.seed)
-    accounts = _accounts(cfg.n_accounts)
     draft = _Draft("cloud")
     policy = draft.policy
     g = max(1, math.isqrt(cfg.n_users - 1) + 1) if cfg.n_users > 1 else 1
@@ -586,7 +563,7 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     rng_g = root.split("groups")
     ua_groups = [
         policy.add_vertex(
-            VertexKind.USER_ATTR, f"ua-group-{i:03d}", account=rng_g.choice(accounts)
+            VertexKind.USER_ATTR, f"ua-group-{i:03d}", account=rng_g.choice(ACCOUNTS)
         )
         for i in range(g)
     ]
@@ -594,7 +571,7 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
         policy.add_vertex(
             VertexKind.RESOURCE_ATTR,
             f"ra-group-{i:03d}",
-            account=rng_g.choice(accounts),
+            account=rng_g.choice(ACCOUNTS),
             tags={"env": "development"},
         )
         for i in range(g)
@@ -603,23 +580,22 @@ def _generate_sqrt(cfg: GenConfig) -> tuple[PolicyHypergraph, GroundTruth]:
     rng_r = root.split("resources")
     width = max(4, len(str(max(cfg.n_resources, 1))))
     for i in range(cfg.n_resources):
-        acct = rng_r.choice(accounts)
+        acct = rng_r.choice(ACCOUNTS)
         mine = sorted(rng_r.sample(ra_groups, per_entity))
         draft.resource(f"res-{i:0{width}d}", acct, mine, tags={"env": "development"})
 
     rng_u = root.split("users")
     uwidth = max(4, len(str(max(cfg.n_users, 1))))
     for i in range(cfg.n_users):
-        acct = rng_u.choice(accounts)
+        acct = rng_u.choice(ACCOUNTS)
         draft.user(f"user-{i:0{uwidth}d}", acct, sorted(rng_u.sample(ua_groups, per_entity)))
 
     universe = policy.universe
-    base_pool = [p for p in BASE_PERM_POOL if p in universe]
     rng_grant = root.split("grants")
     for ua in ua_groups:
         for ra in ra_groups:
-            p = min(zipf_sample(rng_grant, cfg.perms_per_role[1], cfg.zipf_s), len(base_pool))
-            draft.grant(ua, ra, universe.mask_of(rng_grant.sample(base_pool, p)))
+            p = min(zipf_sample(rng_grant, MAX_PERMS_PER_ROLE, ZIPF_S), len(BASE_PERM_POOL))
+            draft.grant(ua, ra, universe.mask_of(rng_grant.sample(BASE_PERM_POOL, p)))
     return draft.finish()
 
 
@@ -643,13 +619,12 @@ FIXTURE_TYPE_NAMES = (
 FIXTURE_PROD_TYPES = ("s3-bucket-prod", "ec2-instance-prod", "rds-database")
 
 
-def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, GroundTruth]:
+def make_fixture_usecase() -> tuple[PolicyHypergraph, GroundTruth]:
     """Deterministic multi-account fixture: 250 users, 45 roles, 400
     resources over 15 types, with one injected role-chaining escalation
-    (Alice, Developer -> PowerUser -> ProductionDB) and ``excess_roles``
-    injected over-privilege grants."""
+    (Alice, Developer -> PowerUser -> ProductionDB) and 8 injected
+    over-privilege grants."""
     rng = Rng(0x20250601)
-    accounts = _accounts(4)
     draft = _Draft("aws")
     policy = draft.policy
 
@@ -657,7 +632,7 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
         name: policy.add_vertex(
             VertexKind.RESOURCE_ATTR,
             name,
-            account=rng.choice(accounts),
+            account=rng.choice(ACCOUNTS),
             tags={"env": "production" if name in FIXTURE_PROD_TYPES else "development"},
         )
         for name in FIXTURE_TYPE_NAMES
@@ -665,7 +640,7 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
     dev_type_names = [n for n in FIXTURE_TYPE_NAMES if n not in FIXTURE_PROD_TYPES]
 
     def add_resource(name: str, type_name: str) -> None:
-        draft.resource(name, rng.choice(accounts), [type_ids[type_name]])
+        draft.resource(name, rng.choice(ACCOUNTS), [type_ids[type_name]])
 
     add_resource("ProductionDB", "rds-database")
     s3_dev = [n for n in dev_type_names if n.startswith("s3-")]
@@ -679,17 +654,17 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
     for i in range(211, 220):
         add_resource(f"instance-{i:03d}", "ec2-instance-prod")
 
-    developer = policy.add_vertex(VertexKind.USER_ATTR, "Developer", account=accounts[0])
-    power_user = policy.add_vertex(VertexKind.USER_ATTR, "PowerUser", account=accounts[0])
+    developer = policy.add_vertex(VertexKind.USER_ATTR, "Developer", account=ACCOUNTS[0])
+    power_user = policy.add_vertex(VertexKind.USER_ATTR, "PowerUser", account=ACCOUNTS[0])
     other_roles = [
         policy.add_vertex(
-            VertexKind.USER_ATTR, f"role-{i:02d}", account=rng.choice(accounts)
+            VertexKind.USER_ATTR, f"role-{i:02d}", account=rng.choice(ACCOUNTS)
         )
         for i in range(2, 45)
     ]
 
     # Every user's account is drawn before any user's roles.
-    user_accounts = [accounts[0]] + [rng.choice(accounts) for _ in range(1, 250)]
+    user_accounts = [ACCOUNTS[0]] + [rng.choice(ACCOUNTS) for _ in range(1, 250)]
     for i, acct in enumerate(user_accounts):
         if i < 12:  # Alice plus eleven colleagues hold Developer
             mine = [developer]
@@ -712,5 +687,5 @@ def make_fixture_usecase(excess_roles: int = 8) -> tuple[PolicyHypergraph, Groun
     # The unintended role inheritance: Developer chains into the grant-free
     # PowerUser role, which alone reaches the production database type.
     draft.inject_chain(rng, [developer], power_user, [type_ids["rds-database"]])
-    draft.inject_excess(rng, excess_roles, exclude=(developer,))
+    draft.inject_excess(rng, 8, exclude=(developer,))
     return draft.finish()

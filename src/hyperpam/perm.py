@@ -1,8 +1,8 @@
 """Fixed permission universe and bitset permission sets.
 
 The universe is declared once per policy as an ordered list of permission
-names. A permission set is an integer bitmask over that list, giving O(1)
-membership, intersection and union regardless of policy size.
+names. A permission set is an integer bitmask over that list, so membership,
+intersection and union are integer operations whatever the policy size.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class PermissionUniverse:
 
 @dataclass(frozen=True, slots=True)
 class PermissionSet:
-    """Subset of a universe; set semantics on an integer mask."""
+    """Subset of a universe, held as an integer mask."""
 
     universe: PermissionUniverse
     mask: int
@@ -78,24 +78,8 @@ class PermissionSet:
         if self.mask & ~self.universe.full_mask:
             raise UnknownPermission("mask has bits outside the universe")
 
-    def _check(self, other: "PermissionSet") -> None:
-        if self.universe != other.universe:
-            raise UnknownPermission("permission sets from different universes")
-
     def __contains__(self, name: str) -> bool:
         return bool(self.mask & self.universe.bit(name))
-
-    def __and__(self, other: "PermissionSet") -> "PermissionSet":
-        self._check(other)
-        return PermissionSet(self.universe, self.mask & other.mask)
-
-    def __or__(self, other: "PermissionSet") -> "PermissionSet":
-        self._check(other)
-        return PermissionSet(self.universe, self.mask | other.mask)
-
-    def __sub__(self, other: "PermissionSet") -> "PermissionSet":
-        self._check(other)
-        return PermissionSet(self.universe, self.mask & ~other.mask)
 
     def __bool__(self) -> bool:
         return self.mask != 0

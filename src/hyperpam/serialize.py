@@ -103,8 +103,6 @@ def constraint_from_obj(obj: dict[str, Any], where: str) -> Constraint:
 def policy_to_obj(policy: PolicyHypergraph) -> dict[str, Any]:
     vertices = []
     for v in sorted(policy.vertices(), key=lambda v: v.id):
-        if v.kind is VertexKind.PERMISSION:
-            raise SchemaError("permission vertices are not serializable")
         vertices.append(
             {
                 "id": v.id,
@@ -214,7 +212,7 @@ def policy_from_obj(obj: Any) -> PolicyHypergraph:
     # An entry whose fields all pass exact type tests is taken as it is. Any
     # other goes through _vertex_entry/_edge_entry, which raise the message
     # of its first fault (or accept it, e.g. a dict subclass).
-    kind_by_value = {k.value: k for k in VertexKind if k is not VertexKind.PERMISSION}
+    kind_by_value = {k.value: k for k in VertexKind}
     vertices = _expect(obj, "vertices", list, "$")
     for i, vobj in enumerate(vertices):
         try:  # TypeError: not an object; KeyError: a field is missing

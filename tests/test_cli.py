@@ -139,6 +139,34 @@ def test_bench_and_fit(tmp_path, capsys):
     assert code == 0 and "hyper:" in out and "n^" in out
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty CSV"),
+        ("model,n,detect_time_s\nhyper,200\n", "data row 1 has no 'detect_time_s' column"),
+        ("model,n,detect_time_s\nhyper,200,0.1\nhyper,400,fast\n",
+         "data row 2, column 'detect_time_s': 'fast' is not a number"),
+    ],
+    ids=["empty", "short-row", "non-numeric"],
+)
+def test_fit_malformed_csv_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "sweep.csv"
+    path.write_text(text)
+    assert main(["fit", "--in", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("queries", ["0", "-3"])
+def test_bench_non_positive_queries_per_n_exits_2(tmp_path, capsys, queries):
+    argv = ["bench", "--models", "hyper", "--n-start", "200", "--n-end", "200",
+            "--repeats", "1", "--queries-per-n", queries, "--csv", str(tmp_path / "s.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: queries_per_n must be >= 1" in err and "Traceback" not in err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_ingest_subcommand(tmp_path, capsys):
     doc = {
         "users": [{"name": "Alice", "account": "a"}],

@@ -68,12 +68,6 @@ def test_add_vertex_and_lookup(tiny):
     p.add_vertex(VertexKind.USER_ATTR, "Alice")
 
 
-def test_permission_vertices_are_rejected(tiny):
-    p, _ = tiny
-    with pytest.raises(KindMismatch):
-        p.add_vertex(VertexKind.PERMISSION, "Read")
-
-
 def test_vertex_census_matches_direct_summation():
     p = PolicyHypergraph()
     pc = 1

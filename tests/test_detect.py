@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from datetime import timedelta
 
 import pytest
 
 import hyperpam.detect as detect_mod
 import hyperpam.engine as engine_mod
-from hyperpam.bench import fit_power_law
+from hyperpam.bench import build_workload, fit_power_law
 from hyperpam.core import PolicyHypergraph, TimeWindow, VertexKind
 from hyperpam.detect import (
     RequiredPermissions,
@@ -321,3 +323,31 @@ def test_findings_render_as_stable_jsonl():
     first = a.splitlines()[0]
     assert first.startswith('{"kind":"escalation","user":')
     assert '"rendering":' in first and '"remediation":' in first
+
+
+def test_a_built_policy_answers_the_same_from_concurrent_threads():
+    """A built ``PolicyHypergraph`` may be read from any number of threads
+    at once (its docstring): four threads of checks and both detection
+    passes get what one thread gets."""
+    policy, gt = make_fixture_usecase()
+    queries = build_workload(policy, gt, "per_user", 1000, seed=7)
+    required = gt.required_permissions(CTX)
+
+    def run():
+        return (
+            [check_privilege(policy, q) for q in queries],
+            detect_escalations(policy, ("env", "production"), CTX),
+            detect_over_privileged(policy, required, CTX),
+        )
+
+    expected = run()
+    assert expected[1] and expected[2] and any(d.allowed for d in expected[0])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so the reads interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run) for _ in range(16)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected for r in results)

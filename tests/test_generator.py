@@ -64,11 +64,11 @@ def test_config_validation():
     with pytest.raises(ConfigInvalid):
         GenConfig(n_users=-1, n_roles=1, n_resources=1).validate()
     with pytest.raises(ConfigInvalid):
-        GenConfig(n_users=1, n_roles=1, n_resources=1, zipf_s=0.0).validate()
-    with pytest.raises(ConfigInvalid):
         GenConfig(n_users=1, n_roles=1, n_resources=1, pct_temporal=1.5).validate()
     with pytest.raises(ConfigInvalid):
         generate(GenConfig(n_users=1, n_roles=1, n_resources=1, profile="bogus"))
+    with pytest.raises(ConfigInvalid, match="0 resource types cannot host"):
+        generate(GenConfig(n_users=1, n_roles=1, n_resources=1, n_resource_types=0))
 
 
 def test_zipf_degenerate_and_bounds():

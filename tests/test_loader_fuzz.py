@@ -1,10 +1,13 @@
-"""Malformed policy and IAM documents of any shape end in a PolicyError.
+"""Malformed policy, IAM and ground-truth documents of any shape end in a
+PolicyError.
 
 Each loader is fed mutations of a valid document: a value anywhere in the
 JSON tree replaced by arbitrary JSON or deleted, or a slice of its bytes
 overwritten. Whatever the loader makes of the input, nothing but a
 ``PolicyError`` may escape. ``load_policy`` decodes a file's bytes itself,
-so it is fed the same inputs through a file.
+so it is fed the same inputs through a file. A ground-truth ledger that
+loads is also put to use: its required permissions drive the over-privilege
+pass over the policy it was made for.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperpam.core import ApprovalRequired, PolicyHypergraph, SameAccount, TimeWindow, VertexKind
+from hyperpam.detect import detect_over_privileged
 from hyperpam.errors import ParseError, PolicyError
-from hyperpam.generator import EPOCH
+from hyperpam.generator import EPOCH, GroundTruth, make_fixture_usecase
 from hyperpam.ingest import parse_iam, to_hypergraph
 from hyperpam.serialize import constraint_to_obj, dumps_policy, load_policy, loads_policy
 
@@ -62,6 +66,26 @@ IAM = {
     ],
     "resources": [{"name": "b1", "account": "a", "type": "s3", "tags": {"env": "prod"}}],
 }
+
+def _fixture_ledger():
+    """The fixture policy, and its ledger trimmed to Alice, one colleague,
+    the grants of their roles, a few resources, the chain and one excess."""
+    policy, gt = make_fixture_usecase()
+    users = list(gt.user_roles)[:2]
+    roles = {r for u in users for r in gt.user_roles[u]} | {gt.excess[0].role}
+    trimmed = GroundTruth(
+        gt.eval_timestamp,
+        {u: gt.user_roles[u] for u in users},
+        {u: gt.user_account[u] for u in users},
+        [g for g in gt.grants if g.role in roles],
+        dict(list(gt.resource_types.items())[:3]),
+        gt.chains,
+        gt.excess[:1],
+    )
+    return policy, json.loads(trimmed.dumps(policy.universe.names))
+
+
+FIXTURE, LEDGER = _fixture_ledger()
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -146,3 +170,23 @@ def test_parse_iam_and_lowering_raise_only_policy_errors(data):
 def test_seed_documents_load():
     assert loads_policy(json.dumps(POLICY)).edge_count == 4
     assert to_hypergraph(parse_iam(json.dumps(IAM))).vertex_count == 6
+
+
+def _audit_with_ledger(data) -> None:
+    gt = GroundTruth.loads(data, FIXTURE.universe)
+    ctx = gt.context_for(next(iter(gt.user_roles), 0))
+    detect_over_privileged(FIXTURE, gt.required_permissions(ctx), ctx)
+
+
+@FUZZ
+@given(mutated(LEDGER) | spliced(LEDGER) | st.binary(max_size=32))
+@example(b"\x80{}")
+@example(DEEP)
+def test_ground_truth_loader_and_over_privilege_raise_only_policy_errors(data):
+    _only_policy_errors(_audit_with_ledger, data)
+
+
+def test_seed_ledger_audits():
+    gt = GroundTruth.loads(json.dumps(LEDGER), FIXTURE.universe)
+    ctx = gt.context_for(next(iter(gt.user_roles)))
+    assert detect_over_privileged(FIXTURE, gt.required_permissions(ctx), ctx)
