@@ -32,7 +32,7 @@ from .engine import (  # noqa: F401 - perfbench/tracing.py wraps it under this m
     effective_permission_map,
 )
 from .errors import ConfigInvalid, DegenerateInput, GroundTruthMismatch, SchemaError
-from .generator import GenConfig, GroundTruth, config_for_scale, generate
+from .generator import GroundTruth, config_for_scale, generate
 from .rng import Rng
 from .serialize import dumps_policy, write_atomic
 
@@ -209,7 +209,7 @@ def run_sweep(
     n_start: int,
     n_end: int,
     n_step: int,
-    cfg_template: Optional[Callable[[int, int], GenConfig]] = None,
+    profile: str = "standard",
     workload_mode: str = "per_user",
     queries_per_n: Optional[int] = None,
     repeats: int = 5,
@@ -217,7 +217,8 @@ def run_sweep(
     abac_max_n: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepResult:
-    """One record per (model, n); detect time is the median over repeats."""
+    """One record per (model, n) on ``config_for_scale(n, seed, profile)``'s
+    policy; detect time is the median over repeats."""
     if n_start > n_end or n_step <= 0:
         raise ConfigInvalid("need n_start <= n_end and a positive step")
     if repeats < 1:
@@ -227,12 +228,10 @@ def run_sweep(
     for m in models:
         if m not in MODELS:
             raise ConfigInvalid(f"unknown model {m!r}")
-    template = cfg_template or (lambda n, s: config_for_scale(n, seed=s))
 
     points: list[SweepPoint] = []
     for n in range(n_start, n_end + 1, n_step):
-        cfg = template(n, seed)
-        policy, gt = generate(cfg)
+        policy, gt = generate(config_for_scale(n, seed=seed, profile=profile))
         policy_json = dumps_policy(policy)
         workload = build_workload(policy, gt, workload_mode, queries_per_n, seed)
         workload_json = workload_to_json(workload)
@@ -295,8 +294,11 @@ def emit_csv(records: Sequence[BenchRecord], path: str) -> None:
 
 
 def read_csv(path: str) -> list[dict[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not UTF-8 text") from None
     if not lines:
         raise SchemaError(f"{path}: empty CSV, want a header line")
     header = lines[0].split(",")

@@ -152,9 +152,7 @@ def _cmd_bench(args) -> int:
         args.n_start,
         args.n_end,
         args.n_step,
-        cfg_template=lambda n, s: bench_mod.config_for_scale(
-            n, seed=s, profile=args.profile
-        ),
+        profile=args.profile,
         workload_mode=args.workload,
         queries_per_n=args.queries_per_n,
         repeats=args.repeats,

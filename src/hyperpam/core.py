@@ -36,6 +36,7 @@ from .errors import (
     EmptyPermissions,
     KindMismatch,
     UnknownEdge,
+    UnknownPermission,
     UnknownVertex,
 )
 from .perm import DEFAULT_PERMISSIONS, PermissionSet, PermissionUniverse
@@ -326,7 +327,12 @@ class PolicyHypergraph:
                 "association resource side needs at least one resource attribute "
                 "and only resource-side vertices"
             )
-        mask = perms.mask if isinstance(perms, PermissionSet) else self.universe.mask_of(perms)
+        if not isinstance(perms, PermissionSet):
+            mask = self.universe.mask_of(perms)
+        elif perms.universe == self.universe:
+            mask = perms.mask
+        else:
+            raise UnknownPermission("permission set is over another permission universe")
         if mask == 0:
             raise EmptyPermissions("association must grant at least one permission")
         eid = self._next_edge_id
@@ -363,10 +369,12 @@ class PolicyHypergraph:
         except KeyError:
             raise UnknownVertex(f"no vertex with id {vid}") from None
         members = tuple(ids)
-        if isinstance(perms, PermissionSet):
+        if not isinstance(perms, PermissionSet):
+            mask = self.universe.mask_of(perms) if perms else 0
+        elif perms.universe == self.universe:
             mask = perms.mask
         else:
-            mask = self.universe.mask_of(perms) if perms else 0
+            raise UnknownPermission("permission set is over another permission universe")
         eid = self._next_edge_id if _id is None else _id
         if eid in self._edges:
             raise DuplicateName(f"hyperedge id {eid} already in use")

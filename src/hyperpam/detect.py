@@ -17,10 +17,11 @@ edge, and edges can grow faster than n (as n^1.5 on the sqrt-grouping
 profile), so the honest form of that claim is "linear in policy size"
 (vertices plus edges) when findings are few. The escalation pass ascends
 from each user attribute a user is assigned to once per pass. The
-over-privilege pass walks each inherited role once per pass, and a holder
-costs its assignments plus one requirement lookup per resource in its
-roles' excess, so it is linear when users inherit their roles'
-requirements, as the generator's ledger has them do.
+over-privilege pass reads each subject's own associations and walks each
+inherited role once, so a role that is also a subject is read twice. A
+subject costs its associations and assignments plus one requirement lookup
+per resource in its inherited roles' excess, so the pass is linear when
+users inherit their roles' requirements, as the generator's ledger has them do.
 
 Attack window: time-window constraints give every just-in-time grant a
 hard expiry; expired edges can be reported or revoked in one removal each,
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Optional
 
-from .core import RESOURCE, RESOURCE_ATTR, USER_ATTR
+from .core import USER_ATTR
 from .core import (
     PolicyHypergraph,
     TimeWindow,
@@ -137,7 +138,7 @@ def detect_escalations(
     if not tag_key or not tag_value:
         raise ValueError("sensitive tag key and value must be non-empty")
 
-    edges, vertices, assoc = policy._edges, policy._vertices, policy._assoc_incidence
+    edges, vertices = policy._edges, policy._vertices
     descend_memo: dict = {}
     # vertex -> {sensitive resource: (edges, vertices) from the vertex down}
     sensitive: dict[VertexId, dict] = {}
@@ -147,12 +148,8 @@ def detect_escalations(
 
     def sensitive_below(m: VertexId) -> dict:
         if m not in sensitive:
-            kind = vertices[m].kind
-            if kind is RESOURCE_ATTR:
-                below, step = _descend(policy, m, ctx, descend_memo)
-                sensitive[m] = {rid: _path_to(step, rid) for rid in below if tagged(rid)}
-            else:
-                sensitive[m] = {m: ((), (m,))} if kind is RESOURCE and tagged(m) else {}
+            below, step = _descend(policy, m, ctx, descend_memo)
+            sensitive[m] = {rid: _path_to(step, rid) for rid in below if tagged(rid)}
         return sensitive[m]
 
     def chained_from(role: VertexId) -> dict:
@@ -167,22 +164,15 @@ def detect_escalations(
             if not k:
                 continue
             pedges, pverts = _path_to(up, w)
-            for eid in assoc[w]:
-                edge = edges[eid]
-                if not edge.active or not edge.perm_mask:
-                    continue
-                if not edge_satisfied(policy, edge, ctx):
-                    continue
-                for m in edge.members:
-                    for rid, (dedges, dverts) in sensitive_below(m).items():
-                        # user -> role, k hops up, the bridge, the descent
-                        total = 2 + k + len(dedges)
-                        if total > max_depth:
-                            continue
-                        cand = (total, pedges + (eid,) + dedges, pverts + dverts)
-                        cur = best.get(rid)
-                        if cur is None or cand[:2] < cur[:2]:
-                            best[rid] = cand
+            # user -> role, k hops up, the bridge: the descent may take the rest
+            for m, budget, _, eid in _grants_at(policy, w, ctx, max_depth - 2 - k):
+                for rid, (dedges, dverts) in sensitive_below(m).items():
+                    if len(dedges) > budget:
+                        continue
+                    cand = (2 + k + len(dedges), pedges + (eid,) + dedges, pverts + dverts)
+                    cur = best.get(rid)
+                    if cur is None or cand[:2] < cur[:2]:
+                        best[rid] = cand
         for rid, (total, path_edges, verts) in best.items():
             chained = tuple(v for v in verts if vertices[v].kind is USER_ATTR)
             best[rid] = (total, path_edges, verts, chained)
@@ -232,16 +222,15 @@ def detect_over_privileged(
     attribute it ascends to, so a grant whose mask the requirement on its
     target covers is not expanded.
 
-    Each subject h that another subject inherits is walked once per pass.
-    The walk checks h itself and, with every budget one hop shorter, gives
-    h's excess over its own requirement per resource. A subject s that
-    inherits h and holds it through a live direct assignment masks that
-    excess with its own requirement on each resource. This is exact: s
-    requires at least what h requires, and a resource below a grant's
-    target requires at least what the target does. Every other grant of s
-    (its own associations, and the walks of heads it holds but does not
-    inherit) is checked against s's requirement directly. Findings with the
-    same excess mask share one ``PermissionSet``.
+    Every subject s takes the same steps: the grants of its own
+    associations, then, one hop up, each head it holds through a live,
+    ctx-satisfied direct assignment. These are checked against s's
+    requirement, except for a head h that s inherits: h is walked once per
+    pass, one hop short, to give its excess over its own requirement per
+    resource, and s masks that excess with its own requirement. This is
+    exact: s requires at least what h requires, and a resource below a
+    grant's target requires at least what the target does. Findings with
+    the same excess mask share one ``PermissionSet``.
     """
     by_subject, inherits = ground_truth.by_subject, ground_truth.inherits
     vertex = policy.vertex
@@ -291,75 +280,59 @@ def detect_over_privileged(
     below_memo: dict = {}
 
     def excess_of(
-        grants: Iterable[tuple[VertexId, int, int]], entries: dict[VertexId, int]
+        grants: Iterable[tuple[VertexId, int, int, int]], entries: dict[VertexId, int]
     ) -> dict[VertexId, int]:
         """Per resource, the OR of the grants' masks beyond what ``entries`` require."""
         excess: dict[VertexId, int] = {}
-        for target, budget, mask in grants:
+        for target, budget, mask, _ in grants:
             if not mask & ~need(entries, target):
                 continue
-            if policy._vertices[target].kind is RESOURCE:
-                below = {target: 0}
-            else:
-                below = _descend(policy, target, ctx, below_memo)[0]
-            for rid, rd in below.items():
+            for rid, rd in _descend(policy, target, ctx, below_memo)[0].items():
                 if rd <= budget:
                     extra = mask & ~need(entries, rid)
                     if extra:
                         excess[rid] = excess.get(rid, 0) | extra
         return excess
 
-    # subject that inherits nothing -> its live grants, walked once for its
-    # own check and, one hop shorter, for its holders'
-    walks: dict[VertexId, list[tuple[VertexId, int, int]]] = {}
-
-    def grants_of(s: VertexId) -> list[tuple[VertexId, int, int]]:
-        if s not in walks:
-            walks[s] = list(live_grants(policy, s, ctx, max_depth))
-        return walks[s]
-
     # inherited head -> its per-resource excess over its one-hop-shorter walk
     head_excess: dict[VertexId, dict[VertexId, int]] = {}
     # one shared PermissionSet per distinct excess mask
     sets: dict[int, PermissionSet] = {}
     findings: list[OverPrivilegeFinding] = []
+    edges, assign_out = policy._edges, policy._assign_out
     for subject in subjects:
-        mine = inherits.get(subject)
-        if not mine:
-            excess = excess_of(grants_of(subject), by_subject[subject])
-        else:
-            grants = list(_grants_at(policy, subject, ctx, max_depth - 1))
-            shared = []
-            held = set()
-            for eid, h in policy._assign_out[subject].items():
-                if h in mine:
-                    if h not in head_excess:
-                        # the walk one hop shorter: budgets drop by one
-                        head_excess[h] = excess_of(
-                            ((t, b - 1, m) for t, b, m in grants_of(h) if b), by_subject[h]
-                        )
-                    if not head_excess[h]:
-                        continue  # nothing of h's to check, whether h is held or not
-                edge = policy._edges[eid]
-                if edge.active and edge_satisfied(policy, edge, ctx):
-                    held.add(h)
-            for h in held:
-                if h in mine:
-                    shared.append(head_excess[h])
-                else:
-                    grants.extend(live_grants(policy, h, ctx, max_depth - 1))
-            if not grants and not shared:
+        mine = inherits.get(subject, ())
+        # the subject's own associations, then one hop up to each live head
+        grants = _grants_at(policy, subject, ctx, max_depth - 1)
+        shared = []
+        for eid, h in assign_out[subject].items():
+            if h in mine:
+                hx = head_excess.get(h)
+                if hx is None:
+                    hx = head_excess[h] = excess_of(
+                        live_grants(policy, h, ctx, max_depth - 1), by_subject[h]
+                    )
+                if not hx:
+                    continue  # nothing of h's to check, whether h is held or not
+            edge = edges[eid]
+            if not edge.active or not edge_satisfied(policy, edge, ctx):
                 continue
-            entries = dict(by_subject[subject])
-            for h in mine:
-                for a, m in by_subject[h].items():
-                    entries[a] = entries.get(a, 0) | m
-            excess = excess_of(grants, entries)
-            for per_rid in shared:
-                for rid, m in per_rid.items():
-                    extra = m & ~need(entries, rid)
-                    if extra:
-                        excess[rid] = excess.get(rid, 0) | extra
+            if h in mine:
+                shared.append(hx)
+            else:
+                grants.extend(live_grants(policy, h, ctx, max_depth - 1))
+        if not grants and not shared:
+            continue
+        entries = dict(by_subject[subject])
+        for h in mine:
+            for a, m in by_subject[h].items():
+                entries[a] = entries.get(a, 0) | m
+        excess = excess_of(grants, entries)
+        for per_rid in shared:
+            for rid, m in per_rid.items():
+                extra = m & ~need(entries, rid)
+                if extra:
+                    excess[rid] = excess.get(rid, 0) | extra
         if excess:
             out = {}
             for rid in sorted(excess):

@@ -210,7 +210,8 @@ def _descend(
     hop distances, and each reached vertex's first-found step ``(edge id,
     vertex one level closer to ra)``, memoized by ``(ra, ctx)``. Steps are
     first found in BFS order, so the path back up from a resource, reversed,
-    is the lexicographically smallest shortest descent from ``ra``.
+    is the lexicographically smallest shortest descent from ``ra``. Nothing
+    is assigned to a resource, so a resource ``ra`` descends to ``{ra: 0}``.
     """
     key = (ra, ctx)
     cached = memo.get(key)
@@ -218,7 +219,7 @@ def _descend(
         return cached
     edges, vertices, assign_in = policy._edges, policy._vertices, policy._assign_in
     dist = {ra: 0}
-    below: dict[VertexId, int] = {}
+    below: dict[VertexId, int] = {ra: 0} if vertices[ra].kind is RESOURCE else {}
     step: _Steps = {}
     queue = [ra]
     for v in queue:  # appended to while read: breadth-first, level by level
@@ -330,14 +331,11 @@ def live_grants(
     subject: VertexId,
     ctx: EvaluationContext,
     max_depth: int = DEFAULT_MAX_DEPTH,
-) -> Iterator[tuple[VertexId, int, int]]:
-    """Every grant ``subject`` holds under ``ctx``, as (target, budget, mask).
-
-    Ascends from the subject once and yields, for each active, ctx-satisfied
-    association with a non-empty label at a vertex of that ascent, each
-    resource or resource-attribute member with the number of descent hops
-    the depth limit still allows below it. ``subject`` may be a user or a
-    user attribute.
+) -> Iterator[tuple[VertexId, int, int, int]]:
+    """Every grant ``subject`` holds under ``ctx``: ``_grants_at`` at each
+    vertex of one ascent from the subject, with the budget set to the descent
+    hops the depth limit still allows below the grant's target. ``subject``
+    may be a user or a user attribute.
     """
     closure = _ascend(policy, subject, ctx, max_depth)[0]
     for v, d in closure.items():
@@ -348,9 +346,12 @@ def live_grants(
 
 def _grants_at(
     policy: PolicyHypergraph, v: VertexId, ctx: EvaluationContext, budget: int
-) -> Iterator[tuple[VertexId, int, int]]:
-    """``live_grants``' yields for the associations at ``v`` alone."""
+) -> list[tuple[VertexId, int, int, int]]:
+    """(target, budget, mask, association id) for each resource-side member
+    of each active, ctx-satisfied association with a non-empty label at ``v``.
+    A list: most vertices hold no association, and a generator costs more."""
     edges, vertices = policy._edges, policy._vertices
+    grants = []
     for eid in policy._assoc_incidence[v]:
         edge = edges[eid]
         if not edge.active or not edge.perm_mask:
@@ -359,7 +360,8 @@ def _grants_at(
             continue
         for m in edge.members:
             if vertices[m].kind in (RESOURCE, RESOURCE_ATTR):
-                yield m, budget, edge.perm_mask
+                grants.append((m, budget, edge.perm_mask, eid))
+    return grants
 
 
 def effective_permission_map(
@@ -379,11 +381,8 @@ def effective_permission_map(
     """
     memo = _descend_memo if _descend_memo is not None else {}
     granted: dict[VertexId, int] = {}
-    for m, budget, mask in live_grants(policy, subject, ctx, max_depth):
-        if policy.vertex(m).kind is RESOURCE:
-            granted[m] = granted.get(m, 0) | mask
-        else:
-            for rid, rd in _descend(policy, m, ctx, memo)[0].items():
-                if rd <= budget:
-                    granted[rid] = granted.get(rid, 0) | mask
+    for m, budget, mask, _ in live_grants(policy, subject, ctx, max_depth):
+        for rid, rd in _descend(policy, m, ctx, memo)[0].items():
+            if rd <= budget:
+                granted[rid] = granted.get(rid, 0) | mask
     return granted

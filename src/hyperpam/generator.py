@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import Any, Optional
 
@@ -107,9 +107,9 @@ class GenConfig:
             raise ConfigInvalid("chains need a spare role each plus one base role")
 
 
-def config_for_scale(n: int, seed: int = 0, profile: str = "standard", **overrides) -> GenConfig:
+def config_for_scale(n: int, seed: int = 0, profile: str = "standard") -> GenConfig:
     """Scale-parameter template: n users, n/10 roles, n/2 resources."""
-    cfg = GenConfig(
+    return GenConfig(
         n_users=n,
         n_roles=max(1, round(0.1 * n)),
         n_resources=max(1, n // 2),
@@ -118,7 +118,6 @@ def config_for_scale(n: int, seed: int = 0, profile: str = "standard", **overrid
         profile=profile,
         seed=seed,
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass(frozen=True)

@@ -176,12 +176,7 @@ def test_criterion_5_graph_size_shapes(sweeps):
 
     sqrt_pts = []
     for n in range(200, SWEEP_N_END + 1, 400):
-        policy, _ = generate(
-            config_for_scale(
-                n, seed=SEED, profile="sqrt-grouping",
-                injected_chains=0, injected_excess=0,
-            )
-        )
+        policy, _ = generate(config_for_scale(n, seed=SEED, profile="sqrt-grouping"))
         sqrt_pts.append((n, policy.edge_count))
     fit_sqrt = fit_power_law(sqrt_pts)
     assert 1.3 <= fit_sqrt.b <= 1.7

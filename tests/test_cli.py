@@ -146,12 +146,13 @@ def test_bench_and_fit(tmp_path, capsys):
         ("model,n,detect_time_s\nhyper,200\n", "data row 1 has no 'detect_time_s' column"),
         ("model,n,detect_time_s\nhyper,200,0.1\nhyper,400,fast\n",
          "data row 2, column 'detect_time_s': 'fast' is not a number"),
+        (b"model,n\n\x80\x81,1\n", "not UTF-8 text"),
     ],
-    ids=["empty", "short-row", "non-numeric"],
+    ids=["empty", "short-row", "non-numeric", "not-utf8"],
 )
 def test_fit_malformed_csv_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "sweep.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["fit", "--in", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and message in err and str(path) in err and "Traceback" not in err

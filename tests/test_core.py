@@ -35,10 +35,11 @@ from hyperpam.errors import (
     ParseError,
     SchemaError,
     UnknownEdge,
+    UnknownPermission,
     UnknownVertex,
 )
 from hyperpam.generator import EPOCH, config_for_scale, generate, make_fixture_usecase
-from hyperpam.perm import PermissionSet
+from hyperpam.perm import PermissionSet, PermissionUniverse
 from hyperpam.rng import Rng
 from hyperpam.serialize import dumps_policy, loads_policy
 
@@ -118,6 +119,24 @@ def test_association_invariants(tiny):
     assert set(p.edge(e3).members) == {
         ids["dev"], ids["alice"], ids["s3"], ids["bucket"], ids["pc"]
     }
+
+
+def test_a_permission_set_over_another_universe_is_rejected(tiny):
+    p, ids = tiny
+    # "Delete" has bit 0 in the foreign universe, where this policy has "Read"
+    foreign = PermissionUniverse(("Delete", "Read"))
+    delete = PermissionSet(foreign, foreign.bit("Delete"))
+    members = (ids["dev"], ids["s3"], ids["pc"])
+    with pytest.raises(UnknownPermission):
+        p.add_association([ids["dev"]], [ids["s3"]], ids["pc"], delete)
+    with pytest.raises(UnknownPermission):
+        p.add_raw_hyperedge(HyperedgeKind.ASSOCIATION, members, delete)
+    assert p.edge_count == 0
+    # a set over an equal universe is the policy's own, in both writers
+    read = PermissionSet(PermissionUniverse(p.universe.names), p.universe.bit("Read"))
+    e1 = p.add_association([ids["dev"]], [ids["s3"]], ids["pc"], read)
+    e2 = p.add_raw_hyperedge(HyperedgeKind.ASSOCIATION, members, read)
+    assert p.edge(e1).perm_mask == p.edge(e2).perm_mask == p.universe.bit("Read")
 
 
 def test_incident_edges_and_removal(tiny):

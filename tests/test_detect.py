@@ -213,10 +213,12 @@ def test_over_privilege_no_finding_when_granted_equals_required(monkeypatch):
 
 
 def _count_pass_work(monkeypatch) -> dict:
-    """Count constraint checks and grants yielded inside detect_over_privileged."""
+    """Count constraint checks and grants read inside detect_over_privileged:
+    a subject's own grants come from _grants_at, a held head's from live_grants."""
     counts = {"edge_satisfied": 0, "grants": 0}
     real_satisfied = engine_mod.edge_satisfied
     real_live_grants = detect_mod.live_grants
+    real_grants_at = detect_mod._grants_at
 
     def satisfied(policy, edge, ctx):
         counts["edge_satisfied"] += 1
@@ -227,9 +229,15 @@ def _count_pass_work(monkeypatch) -> dict:
             counts["grants"] += 1
             yield grant
 
+    def grants_at(*args):
+        grants = real_grants_at(*args)
+        counts["grants"] += len(grants)
+        return grants
+
     monkeypatch.setattr(engine_mod, "edge_satisfied", satisfied)
     monkeypatch.setattr(detect_mod, "edge_satisfied", satisfied)
     monkeypatch.setattr(detect_mod, "live_grants", live_grants)
+    monkeypatch.setattr(detect_mod, "_grants_at", grants_at)
     return counts
 
 

@@ -14,6 +14,7 @@ from hyperpam.engine import (
     DEFAULT_MAX_DEPTH,
     EvaluationContext,
     PrivilegeQuery,
+    _descend,
     check_privilege,
     effective_permission_map,
 )
@@ -212,6 +213,13 @@ def test_traversal_ops_at_the_depth_limit():
     q = PrivilegeQuery(ids["alice"], "Read", ids["bucket"], CTX)
     decisions = [check_privilege(p, q, depth) for depth in (2, 3)]
     assert [(d.allowed, d.traversal_ops) for d in decisions] == [(False, 9), (True, 11)]
+
+
+def test_a_resource_is_its_own_descent():
+    p, ids = build_iam_example()
+    assert _descend(p, ids["bucket"], CTX, {}) == ({ids["bucket"]: 0}, {})
+    below, step = _descend(p, ids["s3"], CTX, {})
+    assert below == {ids["bucket"]: 1} and step[ids["bucket"]][1] == ids["s3"]
 
 
 def test_effective_permission_map_memo_shared_across_contexts():

@@ -206,9 +206,7 @@ def test_ground_truth_intended_matches_engine_on_generated_policies():
 def test_sqrt_profile_superlinear_hyperedges():
     sizes = {}
     for n in (200, 800, 3200):
-        cfg = config_for_scale(n, profile="sqrt-grouping",
-                               injected_chains=0, injected_excess=0)
-        policy, _ = generate(cfg)
+        policy, _ = generate(config_for_scale(n, profile="sqrt-grouping"))
         assert policy.validate() == []
         sizes[n] = policy.edge_count
     # superlinear but subquadratic over two 4x steps
