@@ -25,6 +25,9 @@ cost proportional only to the edge's own member count.
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -167,6 +170,24 @@ class Violation:
 # fresh dict before the first insert; the mapping is read-only, so a write
 # that skips _own_entries raises instead of reaching every empty vertex.
 _NO_ENTRIES: MappingProxyType = MappingProxyType({})
+
+
+_collector_lock = threading.Lock()
+
+
+@contextmanager
+def _collector_paused():
+    """Switch the cyclic garbage collector off, then back to how it was. A lock
+    makes each read-and-switch one step, so threads leave it on if it was on."""
+    with _collector_lock:
+        was_enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            with _collector_lock:
+                gc.enable()
 
 
 def _own_entries(index: dict, vid: VertexId) -> dict:

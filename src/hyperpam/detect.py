@@ -16,12 +16,16 @@ Cost: the paper states O(n log n) detection. Every pass must read every
 edge, and edges can grow faster than n (as n^1.5 on the sqrt-grouping
 profile), so the honest form of that claim is "linear in policy size"
 (vertices plus edges) when findings are few. The escalation pass ascends
-from each user attribute a user is assigned to once per pass. The
-over-privilege pass reads each subject's own associations and walks each
-inherited role once, so a role that is also a subject is read twice. A
-subject costs its associations and assignments plus one requirement lookup
-per resource in its inherited roles' excess, so the pass is linear when
-users inherit their roles' requirements, as the generator's ledger has them do.
+once from each user attribute users hold, sorts its hits once, and visits
+only holders of roles with hits. The over-privilege pass reads each
+subject's own associations and walks each inherited role once, so a role
+that is also a subject is read twice. A subject costs its associations and
+assignments plus at most one requirement lookup per resource in its
+inherited roles' excess (when it copies one role's findings map, only
+below attributes where it requires more), so the pass is linear when
+users inherit their roles' requirements, as the generator's ledger has
+them do. Both passes pause the cyclic collector, whose full collections
+would scan every container of the policy.
 
 Attack window: time-window constraints give every just-in-time grant a
 hard expiry; expired edges can be reported or revoked in one removal each,
@@ -34,14 +38,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from functools import cache, partial
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
-from .core import USER_ATTR
+from .core import RESOURCE, RESOURCE_ATTR, USER, USER_ATTR
 from .core import (
     PolicyHypergraph,
     TimeWindow,
     VertexId,
-    VertexKind,
+    _collector_paused,
     as_utc,
 )
 from .engine import (
@@ -56,7 +62,7 @@ from .engine import (
     effective_permission_map,  # noqa: F401 - perfbench/tracing.py wraps it under this module
     live_grants,
 )
-from .errors import GroundTruthMismatch, UnknownVertex
+from .errors import GroundTruthMismatch
 from .perm import PermissionSet
 
 
@@ -66,6 +72,12 @@ class EscalationFinding:
     path: AccessPath
     chained_attributes: tuple[VertexId, ...]
     target: VertexId
+
+    def __init__(self, user, path, chained_attributes, target):
+        _set_user(self, user)
+        _set_path(self, path)
+        _set_chained(self, chained_attributes)
+        _set_target(self, target)
 
     def remediation(self, policy: PolicyHypergraph) -> str:
         """Suggestion string; the tool never mutates policies on its own."""
@@ -77,6 +89,11 @@ class EscalationFinding:
             f"remove role-hierarchy assignment e{first_chain_edge} "
             f"({a} -> {b}) or add an approval constraint to the granting association"
         )
+
+
+_set_user, _set_path, _set_chained, _set_target = (
+    getattr(EscalationFinding, f).__set__ for f in EscalationFinding.__slots__
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,6 +135,7 @@ class AttackWindowReport:
     expiring: list[int] = field(default_factory=list)
 
 
+@_collector_paused()
 def detect_escalations(
     policy: PolicyHypergraph,
     sensitive_tag: tuple[str, str],
@@ -130,15 +148,15 @@ def detect_escalations(
     that crosses two or more user attributes, ties broken by the smallest
     edge-id sequence. This holds on cyclic role hierarchies too, which
     ``PolicyHypergraph.validate`` accepts. Findings are ordered by (user id,
-    path length, edge ids, target). Each user attribute a user is assigned
-    to is ascended once per pass, and the paths it starts are shared by all
-    its holders.
+    path length, edge ids, target). Each user attribute held by users is
+    ascended once per pass, and its sorted hits serve every holder; only
+    holders of a role with hits are visited.
     """
     tag_key, tag_value = sensitive_tag
     if not tag_key or not tag_value:
         raise ValueError("sensitive tag key and value must be non-empty")
 
-    edges, vertices = policy._edges, policy._vertices
+    edges, vertices, assign_in = policy._edges, policy._vertices, policy._assign_in
     descend_memo: dict = {}
     # vertex -> {sensitive resource: (edges, vertices) from the vertex down}
     sensitive: dict[VertexId, dict] = {}
@@ -152,13 +170,11 @@ def detect_escalations(
             sensitive[m] = {rid: _path_to(step, rid) for rid in below if tagged(rid)}
         return sensitive[m]
 
-    def chained_from(role: VertexId) -> dict:
-        """{sensitive resource: (length from a holder, edges, vertices, chained
-        user attributes)} over the paths that start at ``role``, a user
-        attribute, and cross one more user attribute."""
+    def chained_from(role: VertexId) -> list:
+        """(length from a holder, edges, sensitive resource, vertices, chained
+        user attributes) of the shortest path to each sensitive resource from
+        ``role`` across one more user attribute, sorted by the first three."""
         best: dict = {}
-        if vertices[role].kind is not USER_ATTR:
-            return best
         dist, up, _ = _ascend(policy, role, ctx, max_depth - 1)
         for w, k in dist.items():
             if not k:
@@ -173,42 +189,39 @@ def detect_escalations(
                     cur = best.get(rid)
                     if cur is None or cand[:2] < cur[:2]:
                         best[rid] = cand
-        for rid, (total, path_edges, verts) in best.items():
-            chained = tuple(v for v in verts if vertices[v].kind is USER_ATTR)
-            best[rid] = (total, path_edges, verts, chained)
-        return best
+        return sorted(
+            (total, path, rid, verts, tuple(v for v in verts if vertices[v].kind is USER_ATTR))
+            for rid, (total, path, verts) in best.items()
+        )
 
-    # every role a user is assigned to -> chained_from(role), once per pass
-    role_hits: dict[VertexId, dict] = {}
-    findings: list[EscalationFinding] = []
-    for uid in sorted(v.id for v in policy.vertices_of_kind(VertexKind.USER)):
-        # target -> (the role's hit, the user's assignment edge to the role)
-        best: dict[VertexId, tuple] = {}
-        for eid, role in policy._assign_out[uid].items():
-            hits = role_hits.get(role)
-            if hits is None:
-                hits = role_hits[role] = chained_from(role)
-            if not hits:
-                continue
-            edge = edges[eid]
-            if not edge.active or not edge_satisfied(policy, edge, ctx):
-                continue
-            for rid, hit in hits.items():
-                cur = best.get(rid)
-                # (length, edge ids) order, where the user's edge comes first
-                if cur is None or (hit[0], eid, hit[1]) < (cur[0][0], cur[1], cur[0][1]):
-                    best[rid] = (hit, eid)
-        if not best:
+    # user -> [(assignment edge, its role's hits)] over live edges to roles with hits
+    held: dict[VertexId, list] = {}
+    for role in policy.vertices_of_kind(USER_ATTR):
+        tails = assign_in[role.id]
+        hits = any(vertices[t].kind is USER for t in tails.values()) and chained_from(role.id)
+        if not hits:
             continue
-        # users come in id order, so sorting each user's findings orders them all
-        for _, eid, _, rid, hit in sorted(
-            (hit[0], eid, hit[1], rid, hit) for rid, (hit, eid) in best.items()
-        ):
-            path = AccessPath((uid,) + hit[2], (eid,) + hit[1])
-            findings.append(EscalationFinding(uid, path, hit[3], rid))
+        for eid, uid in tails.items():
+            edge = edges[eid]
+            if vertices[uid].kind is USER and edge.active and edge_satisfied(policy, edge, ctx):
+                held.setdefault(uid, []).append((eid, hits))
+
+    findings: list[EscalationFinding] = []
+    for uid in sorted(held):
+        pairs = chain.from_iterable(zip(repeat(eid), hits) for eid, hits in held[uid])
+        if len(held[uid]) > 1:
+            # a target's first hit in (length, edge ids, target) order is its best
+            best: dict[VertexId, tuple] = {}
+            for eid, hit in sorted(pairs, key=lambda p: (p[1][0], p[0], p[1][1], p[1][2])):
+                best.setdefault(hit[2], (eid, hit))
+            pairs = best.values()
+        for eid, (_, path_edges, rid, verts, chained) in pairs:
+            path = AccessPath((uid,) + verts, (eid,) + path_edges)
+            findings.append(EscalationFinding(uid, path, chained, rid))
     return findings
 
 
+@_collector_paused()
 def detect_over_privileged(
     policy: PolicyHypergraph,
     ground_truth: RequiredPermissions,
@@ -229,26 +242,27 @@ def detect_over_privileged(
     pass, one hop short, to give its excess over its own requirement per
     resource, and s masks that excess with its own requirement. This is
     exact: s requires at least what h requires, and a resource below a
-    grant's target requires at least what the target does. Findings with
-    the same excess mask share one ``PermissionSet``.
+    grant's target requires at least what the target does. When such an h
+    is s's only source of excess, s copies h's findings map and re-masks
+    only the resources below an attribute where s requires more than h.
+    Findings with the same excess mask share one ``PermissionSet``.
     """
     by_subject, inherits = ground_truth.by_subject, ground_truth.inherits
-    vertex = policy.vertex
+    vertices = policy._vertices
     subjects = sorted(by_subject)
     for subject in subjects:
         try:
-            subject_kind = vertex(subject).kind
+            subject_kind = vertices[subject].kind
             for rid in by_subject[subject]:
-                kind = vertex(rid).kind
-                if kind not in (VertexKind.RESOURCE, VertexKind.RESOURCE_ATTR):
+                kind = vertices[rid].kind
+                if kind is not RESOURCE and kind is not RESOURCE_ATTR:
                     raise GroundTruthMismatch(
                         f"required key {rid} is a {kind.value}, "
                         "wants resource or resource attribute"
                     )
-        except UnknownVertex:
-            unknown = next(v for v in (subject, *by_subject[subject]) if not policy.has_vertex(v))
-            raise GroundTruthMismatch(f"ground truth names unknown vertex {unknown}") from None
-        if subject_kind not in (VertexKind.USER, VertexKind.USER_ATTR):
+        except KeyError as exc:
+            raise GroundTruthMismatch(f"ground truth names unknown vertex {exc.args[0]}") from None
+        if subject_kind is not USER and subject_kind is not USER_ATTR:
             raise GroundTruthMismatch(
                 f"subject {subject} is a {subject_kind.value}, wants user or user attribute"
             )
@@ -265,15 +279,18 @@ def detect_over_privileged(
     # v -> v plus every resource attribute it ascends to, with no depth limit
     lineages: dict[VertexId, tuple[VertexId, ...]] = {}
 
+    def lineage(v: VertexId) -> tuple[VertexId, ...]:
+        line = lineages.get(v)
+        if line is None:
+            line = lineages[v] = tuple(_ascend(policy, v, ctx, math.inf)[0])
+        return line
+
     def need(entries: dict[VertexId, int], v: VertexId) -> int:
         """OR of ``entries`` on v and on every attribute v ascends to."""
         if not entries:
             return 0
-        line = lineages.get(v)
-        if line is None:
-            line = lineages[v] = tuple(_ascend(policy, v, ctx, math.inf)[0])
         mask = 0
-        for a in line:
+        for a in lineage(v):
             mask |= entries.get(a, 0)
         return mask
 
@@ -294,10 +311,20 @@ def detect_over_privileged(
                         excess[rid] = excess.get(rid, 0) | extra
         return excess
 
-    # inherited head -> its per-resource excess over its one-hop-shorter walk
-    head_excess: dict[VertexId, dict[VertexId, int]] = {}
     # one shared PermissionSet per distinct excess mask
-    sets: dict[int, PermissionSet] = {}
+    permission_set = cache(partial(PermissionSet, policy.universe))
+    # inherited head -> (its excess per resource, that excess's findings map,
+    # attribute -> the excess resources at or below it)
+    head_excess: dict[VertexId, tuple] = {}
+
+    def head_record(h: VertexId) -> tuple:
+        excess = excess_of(live_grants(policy, h, ctx, max_depth - 1), by_subject[h])
+        below: dict[VertexId, list[VertexId]] = {}
+        for rid in excess:
+            for a in lineage(rid):
+                below.setdefault(a, []).append(rid)
+        return excess, {rid: permission_set(excess[rid]) for rid in sorted(excess)}, below
+
     findings: list[OverPrivilegeFinding] = []
     edges, assign_out = policy._edges, policy._assign_out
     for subject in subjects:
@@ -309,16 +336,14 @@ def detect_over_privileged(
             if h in mine:
                 hx = head_excess.get(h)
                 if hx is None:
-                    hx = head_excess[h] = excess_of(
-                        live_grants(policy, h, ctx, max_depth - 1), by_subject[h]
-                    )
-                if not hx:
+                    hx = head_excess[h] = head_record(h)
+                if not hx[0]:
                     continue  # nothing of h's to check, whether h is held or not
             edge = edges[eid]
             if not edge.active or not edge_satisfied(policy, edge, ctx):
                 continue
             if h in mine:
-                shared.append(hx)
+                shared.append((h, hx))
             else:
                 grants.extend(live_grants(policy, h, ctx, max_depth - 1))
         if not grants and not shared:
@@ -327,20 +352,26 @@ def detect_over_privileged(
         for h in mine:
             for a, m in by_subject[h].items():
                 entries[a] = entries.get(a, 0) | m
-        excess = excess_of(grants, entries)
-        for per_rid in shared:
-            for rid, m in per_rid.items():
-                extra = m & ~need(entries, rid)
-                if extra:
-                    excess[rid] = excess.get(rid, 0) | extra
-        if excess:
-            out = {}
-            for rid in sorted(excess):
-                mask = excess[rid]
-                pset = sets.get(mask)
-                if pset is None:
-                    pset = sets[mask] = PermissionSet(policy.universe, mask)
-                out[rid] = pset
+        if not grants and len(shared) == 1:
+            h, (hx, out, below) = shared[0]
+            out, own = dict(out), by_subject[h]
+            for a, m in entries.items():
+                if m & ~own.get(a, 0):
+                    for rid in below.get(a, ()):
+                        extra = hx[rid] & ~need(entries, rid)
+                        if extra:
+                            out[rid] = permission_set(extra)
+                        else:
+                            out.pop(rid, None)
+        else:
+            excess = excess_of(grants, entries)
+            for _, (hx, _, _) in shared:
+                for rid, m in hx.items():
+                    extra = m & ~need(entries, rid)
+                    if extra:
+                        excess[rid] = excess.get(rid, 0) | extra
+            out = {rid: permission_set(excess[rid]) for rid in sorted(excess)}
+        if out:
             findings.append(OverPrivilegeFinding(subject, out))
     return findings
 

@@ -89,9 +89,12 @@ class AccessPath:
     vertices: tuple[VertexId, ...]
     edges: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.vertices) != len(self.edges) + 1:
+    def __init__(self, vertices: tuple[VertexId, ...], edges: tuple[int, ...]):
+        # the slots' own setters: a frozen class's generated __init__ takes twice as long
+        if len(vertices) != len(edges) + 1:
             raise ValueError("path must interleave k+1 vertices with k edges")
+        _set_path_vertices(self, vertices)
+        _set_path_edges(self, edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -101,6 +104,9 @@ class AccessPath:
         for eid, vid in zip(self.edges, self.vertices[1:]):
             parts.append(f"-[e{eid}]-> {policy.vertex(vid).name}")
         return " ".join(parts)
+
+
+_set_path_vertices, _set_path_edges = AccessPath.vertices.__set__, AccessPath.edges.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,10 +172,10 @@ def _ascend(
     ``start``. A resource-side walk keeps the smallest edge id, so following
     steps down spells the smallest shortest descent to ``start``.
     """
-    start_kind = policy.vertex(start).kind
+    edges, vertices, assign_out = policy._edges, policy._vertices, policy._assign_out
+    start_kind = (vertices.get(start) or policy.vertex(start)).kind  # or UnknownVertex
     lowest = start_kind is RESOURCE or start_kind is RESOURCE_ATTR
     kind = RESOURCE_ATTR if lowest else USER_ATTR
-    edges, vertices, assign_out = policy._edges, policy._vertices, policy._assign_out
     n = 0
     dist = {start: 0}
     step: _Steps = {}

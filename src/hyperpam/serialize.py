@@ -36,12 +36,10 @@ field by field, which raises the same message the full check always gives.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import secrets
 import stat
-from contextlib import contextmanager
 from datetime import datetime
 from operator import itemgetter
 from pathlib import Path
@@ -56,6 +54,7 @@ from .core import (
     SameAccount,
     TimeWindow,
     VertexKind,
+    _collector_paused,
 )
 from .errors import ParseError, SchemaError
 
@@ -183,18 +182,6 @@ def _edge_entry(eobj: Any, where: str, kinds: dict) -> tuple:
 
 def _constraints(objs: list, where: str) -> list:
     return [constraint_from_obj(c, f"{where}.constraints[{j}]") for j, c in enumerate(objs)]
-
-
-@contextmanager
-def _collector_paused():
-    """Switch the cyclic garbage collector off, then back to how it was."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def policy_from_obj(obj: Any) -> PolicyHypergraph:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import gc
 import json
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from datetime import timedelta
 
 import pytest
@@ -24,6 +26,7 @@ from hyperpam.core import (
     VertexKind,
     Violation,
     _NO_ENTRIES,
+    _collector_paused,
     _own_entries,
 )
 from hyperpam.detect import EscalationFinding, OverPrivilegeFinding
@@ -1041,3 +1044,28 @@ def test_load_restores_the_collector_state(enabled, text, error, validated, monk
         (gc.enable if was else gc.disable)()
     # the collector is paused while the policy is built and validated
     assert seen == ([False] if validated else [])
+
+
+def test_pauses_overlapping_on_threads_leave_the_collector_on():
+    """The detection passes pause the collector and may run on several
+    threads at once. Without one lock over each read and switch, a pause
+    could read "off" during another's, then switch the collector off after
+    that one had switched it back on, and leave it off for good."""
+
+    def pauses():
+        for _ in range(200):
+            with _collector_paused():
+                pass
+
+    was, interval = gc.isenabled(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the pauses interleave
+    try:
+        for _ in range(20):
+            gc.enable()
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for f in [pool.submit(pauses) for _ in range(8)]:
+                    f.result(timeout=60)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        (gc.enable if was else gc.disable)()

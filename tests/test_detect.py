@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import timedelta
@@ -262,6 +263,49 @@ def test_over_privilege_work_is_linear_in_policy_size(monkeypatch):
         assert fit.b <= 1.1, (key, pts, fit)
 
 
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "case", ["escalations", "empty-tag", "over-privilege", "ground-truth-mismatch"]
+)
+def test_the_passes_restore_the_collector_state(enabled, case, monkeypatch):
+    policy, gt = make_fixture_usecase()
+    required = gt.required_permissions(CTX)
+    unknown = RequiredPermissions({10_000_000: {}})
+    run, error = {
+        "escalations": (lambda: detect_escalations(policy, ("env", "production"), CTX), None),
+        "empty-tag": (lambda: detect_escalations(policy, ("env", ""), CTX), ValueError),
+        "over-privilege": (lambda: detect_over_privileged(policy, required, CTX), None),
+        "ground-truth-mismatch": (
+            lambda: detect_over_privileged(policy, unknown, CTX),
+            GroundTruthMismatch,
+        ),
+    }[case]
+    seen = []
+    real = detect_mod._descend
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(detect_mod, "_descend", spy)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            assert run()
+        else:
+            with pytest.raises(error):
+                run()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    # the collector is paused while the pass walks the policy
+    if error is None:
+        assert seen and not any(seen)
+    else:
+        assert seen == []
+
+
 def test_over_privilege_unknown_subject_rejected():
     policy, _ = make_fixture_usecase()
     with pytest.raises(GroundTruthMismatch):
@@ -350,6 +394,7 @@ def test_a_built_policy_answers_the_same_from_concurrent_threads():
 
     expected = run()
     assert expected[1] and expected[2] and any(d.allowed for d in expected[0])
+    collecting = gc.isenabled()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, so the reads interleave
     try:
@@ -359,3 +404,5 @@ def test_a_built_policy_answers_the_same_from_concurrent_threads():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == expected for r in results)
+    # each pass pauses the collector and restores it, however the threads interleave
+    assert gc.isenabled() is collecting

@@ -10,6 +10,7 @@ the graph by a linear edge scan.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from datetime import timedelta
 
@@ -359,10 +360,9 @@ def test_deactivated_type_assignment_drops_the_requirement():
 
 def test_required_keys_must_be_resources_or_resource_attributes():
     c = _Case()
-    with pytest.raises(GroundTruthMismatch):
-        detect_over_privileged(c.p, RequiredPermissions({c.u: {c.ua: 1}}), CTX)
-    with pytest.raises(GroundTruthMismatch):
-        detect_over_privileged(c.p, RequiredPermissions({c.u: {10_000_000: 1}}), CTX)
+    wrong_kind = f"required key {c.ua} is a user_attr, wants resource or resource attribute"
+    _mismatch(c, {c.u: {c.ua: 1}}, {}, wrong_kind)
+    _mismatch(c, {c.u: {10_000_000: 1}}, {}, "ground truth names unknown vertex 10000000")
 
 
 def test_inherited_head_held_through_a_dead_assignment_grants_nothing():
@@ -406,8 +406,8 @@ def test_holder_checks_its_own_and_uninherited_grants():
     assert c.excess(required, max_depth=1, inherits={c.u: (other,)}) == {}
 
 
-def _mismatch(c: _Case, by_subject, inherits):
-    with pytest.raises(GroundTruthMismatch):
+def _mismatch(c: _Case, by_subject, inherits, message: str):
+    with pytest.raises(GroundTruthMismatch, match=f"^{re.escape(message)}$"):
         detect_over_privileged(c.p, RequiredPermissions(by_subject, inherits), CTX)
 
 
@@ -416,15 +416,23 @@ def test_inherits_must_name_subjects_that_do_not_inherit():
     a = c.ra("a")
     upper = c.p.add_vertex(VertexKind.USER_ATTR, "upper", "acct-a")
     both = {c.u: {}, c.ua: {}, upper: {}}
-    _mismatch(c, both, {10_000_000: (c.ua,)})  # unknown key
-    _mismatch(c, {**both, a: {}}, {a: (c.ua,)})  # key is no user or user attribute
-    _mismatch(c, {**both, a: {}}, {})  # the same, as a subject
-    _mismatch(c, {c.ua: {}}, {c.u: (c.ua,)})  # key has no requirement
-    _mismatch(c, both, {c.u: (10_000_000,)})  # unknown value
-    _mismatch(c, both, {c.u: (a,)})  # value is no user or user attribute
-    _mismatch(c, {c.u: {}}, {c.u: (c.ua,)})  # value has no requirement
-    _mismatch(c, both, {c.u: (c.ua,), c.ua: (upper,)})  # value inherits in turn
-    _mismatch(c, both, {c.u: (c.u,)})  # a subject inheriting itself
+    not_subject = "inherits names {}, which is not a subject".format
+    not_user = f"subject {a} is a resource_attr, wants user or user attribute"
+    # unknown key
+    _mismatch(c, both, {10_000_000: (c.ua,)}, not_subject(10_000_000))
+    # key is no user or user attribute
+    _mismatch(c, {**both, a: {}}, {a: (c.ua,)}, not_user)
+    _mismatch(c, {**both, a: {}}, {}, not_user)  # the same, as a subject
+    _mismatch(c, {c.ua: {}}, {c.u: (c.ua,)}, not_subject(c.u))  # key has no requirement
+    _mismatch(c, both, {c.u: (10_000_000,)}, not_subject(10_000_000))  # unknown value
+    _mismatch(c, both, {c.u: (a,)}, not_subject(a))  # value is no user or user attribute
+    _mismatch(c, {c.u: {}}, {c.u: (c.ua,)}, not_subject(c.ua))  # value has no requirement
+    # value inherits in turn
+    _mismatch(
+        c, both, {c.u: (c.ua,), c.ua: (upper,)}, f"{c.u} inherits {c.ua}, which inherits in turn"
+    )
+    # a subject inheriting itself
+    _mismatch(c, both, {c.u: (c.u,)}, f"{c.u} inherits {c.u}, which inherits in turn")
     detect_over_privileged(c.p, RequiredPermissions(both, {c.u: (c.ua, upper)}), CTX)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from dataclasses import FrozenInstanceError
 from datetime import timedelta
 
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpam.core import HyperedgeKind, PolicyHypergraph, TimeWindow, VertexKind
+from hyperpam.detect import EscalationFinding
 from hyperpam.engine import (
     DEFAULT_MAX_DEPTH,
+    AccessPath,
     EvaluationContext,
     PrivilegeQuery,
     _descend,
     check_privilege,
     effective_permission_map,
+    live_grants,
 )
 from hyperpam.errors import KindMismatch, UnknownPermission, UnknownVertex
 from hyperpam.generator import EPOCH
@@ -68,6 +72,40 @@ def test_query_records_survive_a_pickle_round_trip():
     assert back.ctx.timestamp.tzinfo is not None and back.ctx.approvals == {"ticket", "oncall"}
     with pytest.raises(AttributeError):
         back.op = "Write"
+
+
+def test_path_records_are_frozen_values_that_survive_a_pickle_round_trip():
+    # AccessPath and EscalationFinding set their slots in a hand-written __init__
+    path = AccessPath((1, 2, 3), (10, 11))
+    finding = EscalationFinding(1, path, (2,), 3)
+    assert repr(path) == "AccessPath(vertices=(1, 2, 3), edges=(10, 11))"
+    assert repr(finding) == (
+        "EscalationFinding(user=1, path=AccessPath(vertices=(1, 2, 3), edges=(10, 11)), "
+        "chained_attributes=(2,), target=3)"
+    )
+    twins = (
+        AccessPath(vertices=(1, 2, 3), edges=(10, 11)),
+        EscalationFinding(1, AccessPath((1, 2, 3), (10, 11)), (2,), 3),
+    )
+    for obj, twin in zip((path, finding), twins):
+        assert obj == twin and hash(obj) == hash(twin) and obj is not twin
+        back = pickle.loads(pickle.dumps(obj))
+        assert back == obj and hash(back) == hash(obj) and type(back) is type(obj)
+    assert finding != EscalationFinding(1, path, (2,), 4)
+    with pytest.raises(FrozenInstanceError):
+        path.edges = ()
+    with pytest.raises(FrozenInstanceError):
+        finding.target = 4
+    with pytest.raises(ValueError, match="path must interleave"):
+        AccessPath((1, 2), ())
+
+
+def test_an_unknown_start_raises_unknown_vertex():
+    p, _ = build_iam_example()
+    with pytest.raises(UnknownVertex, match="^no vertex with id 9999$"):
+        list(live_grants(p, 9999, CTX))
+    with pytest.raises(UnknownVertex, match="^no vertex with id 9999$"):
+        effective_permission_map(p, 9999, CTX)
 
 
 def test_empty_policy_denies():
